@@ -13,9 +13,11 @@ N^2/2 for even N and (N+3)(N-1)/2 for odd N.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Union
 
 import numpy as np
@@ -83,23 +85,29 @@ def _parse_value(raw: ParamValue) -> tuple[float, Fraction | None]:
 
     Ints, Fractions, and "p/q" strings are exact; floats are taken at face
     value and never silently rationalized (commensurability analysis then
-    reports "unknown").
+    reports "unknown").  NaN, infinities, and values beyond the float
+    range raise ConfigError.
     """
     if isinstance(raw, bool):
         raise ConfigError(f"parameter value {raw!r} is not a number")
-    if isinstance(raw, int):
-        return float(raw), Fraction(raw)
-    if isinstance(raw, Fraction):
-        return float(raw), raw
     if isinstance(raw, float):
-        return raw, None
-    if isinstance(raw, str):
+        exact = None
+    elif isinstance(raw, (int, Fraction)):
+        exact = Fraction(raw)
+    elif isinstance(raw, str):
         try:
             exact = Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot parse rational value {raw!r}") from exc
-        return float(exact), exact
-    raise ConfigError(f"unsupported parameter value {raw!r}")
+    else:
+        raise ConfigError(f"unsupported parameter value {raw!r}")
+    try:
+        value = raw if exact is None else float(exact)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"parameter value {raw!r} is not a finite number")
+    return value, exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +179,8 @@ def make_parameters(
     given as +1/-1 or "+"/"-"; missing classes default to zero.  For odd
     dim the central class must be absent or zero.  The full exponent grid
     is populated through mirror symmetry, then any ``overrides`` are
-    patched in verbatim (see ParameterSet.with_override).
+    patched in verbatim (see ParameterSet.with_override).  Every value,
+    overrides included, must be a finite number or a "p/q" string.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -209,10 +218,13 @@ def make_parameters(
                 if center is not None and (cls[0], cls[1]) == center:
                     continue
                 grid[row, i - 1, j - 1] = parsed[cls]
-    for i, j, epsilon, value in overrides:
+    patched = []
+    for i, j, epsilon, raw_value in overrides:
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ConfigError(f"override indices ({i},{j}) out of range 1..{dim}")
+        value, _ = _parse_value(raw_value)
         grid[0 if epsilon == +1 else 1, i - 1, j - 1] = value
+        patched.append((i, j, epsilon, value))
     grid.setflags(write=False)
     return ParameterSet(
         dim=dim,
@@ -220,7 +232,7 @@ def make_parameters(
         values=parsed,
         exponents=grid,
         exact_values=exact if not overrides else None,
-        overrides=tuple(overrides),
+        overrides=tuple(patched),
     )
 
 
@@ -250,11 +262,16 @@ class BraidFamily:
     matrix at any spectral parameter."""
 
     params: ParameterSet
-    basis: ProjectorFamily
 
     @classmethod
     def create(cls, params: ParameterSet) -> "BraidFamily":
-        return cls(params=params, basis=projector_family(params.dim, "unified"))
+        return cls(params=params)
+
+    @property
+    def basis(self) -> ProjectorFamily:
+        """The "unified" projector basis, built on first use and cached per
+        side length; ``matrix`` does not need it (N^6 floats)."""
+        return projector_family(self.dim, "unified")
 
     @property
     def dim(self) -> int:
@@ -368,6 +385,37 @@ def even_form_matrix(family: BraidFamily, theta: float) -> np.ndarray:
     return out
 
 
+def pattern_grids(
+    matrix: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Diagonal grid, antidiagonal grid, and largest off-pattern magnitude
+    of a dim^2 x dim^2 matrix.
+
+    Entry (i, j) of the diagonal grid is the matrix entry ((i,j),(i,j)),
+    of the antidiagonal grid the entry ((i,j),(i~,j~)), as ``matrix``
+    lays them out.  For odd dim the central point is its own mirror: its
+    entry is kept on the diagonal grid and the antidiagonal grid holds
+    zero there, so the matrix equals diag + antidiag of the two grids
+    whenever the off-pattern magnitude is zero.
+    """
+    size = dim * dim
+    m = np.asarray(matrix)
+    if m.shape != (size, size):
+        raise DimensionError(
+            f"expected a {size}x{size} matrix for side length {dim}, "
+            f"got {m.shape}"
+        )
+    idx = np.arange(size)
+    diag_grid = m[idx, idx].reshape(dim, dim).copy()
+    anti_grid = m[idx, size - 1 - idx].reshape(dim, dim).copy()
+    off = m.copy()
+    off[idx, idx] = 0.0
+    off[idx, size - 1 - idx] = 0.0
+    if dim % 2:
+        anti_grid[dim // 2, dim // 2] = 0.0
+    return diag_grid, anti_grid, float(np.abs(off).max())
+
+
 @dataclass(frozen=True)
 class BlockStructureReport:
     """Sparsity/symmetry conformance of a built braid matrix.
@@ -414,22 +462,7 @@ def block_structure(
     carrying antidiagonal entries, with mirror-equal blocks.  Works for
     either parity.
     """
-    size = dim * dim
-    m = np.asarray(matrix)
-    if m.shape != (size, size):
-        raise DimensionError(
-            f"expected a {size}x{size} matrix for side length {dim}, "
-            f"got {m.shape}"
-        )
-    idx = np.arange(size)
-    diag_grid = m[idx, idx].reshape(dim, dim).copy()
-    anti_grid = m[idx, size - 1 - idx].reshape(dim, dim).copy()
-    off = m.copy()
-    off[idx, idx] = 0.0
-    off[idx, size - 1 - idx] = 0.0
-    if dim % 2:
-        # central diagonal point doubles as its own antidiagonal point
-        anti_grid[dim // 2, dim // 2] = 0.0
+    diag_grid, anti_grid, off_pattern = pattern_grids(matrix, dim)
     diag_asym = max(
         float(np.abs(diag_grid - diag_grid[::-1, :]).max()),
         float(np.abs(diag_grid - diag_grid[:, ::-1]).max()),
@@ -441,7 +474,7 @@ def block_structure(
     return BlockStructureReport(
         dim=dim,
         tolerance=tolerance,
-        max_off_pattern=float(np.abs(off).max()),
+        max_off_pattern=off_pattern,
         max_diagonal_asymmetry=diag_asym,
         max_antidiagonal_asymmetry=anti_asym,
     )
@@ -450,7 +483,6 @@ def block_structure(
 _REFERENCE_CHECK_TOL = 1e-13
 
 
-@lru_cache(maxsize=None)
 def reference_projectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Complementary projector pair (plus, minus) and the real rotation
     generator of the single-parameter reference family on N = 2n.
@@ -461,6 +493,17 @@ def reference_projectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     checks, otherwise the regrouping assumption is wrong and a
     ConstructionError is raised.
     """
+    return _reference_regrouping(n)[:3]
+
+
+def reference_residuals(n: int) -> Mapping[str, float]:
+    """The six self-check residuals measured while building
+    ``reference_projectors(n)``, keyed by check name (read-only)."""
+    return _reference_regrouping(n)[3]
+
+
+@lru_cache(maxsize=None)
+def _reference_regrouping(n: int) -> tuple:
     fam = projector_family(2 * n, "Q")
     size = (2 * n) ** 2
     plus = np.zeros((size, size), dtype=complex)
@@ -486,7 +529,7 @@ def reference_projectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rot_real = np.ascontiguousarray(rot.real)
     for m in (plus, minus, rot_real):
         m.setflags(write=False)
-    return plus, minus, rot_real
+    return plus, minus, rot_real, MappingProxyType(checks)
 
 
 def reference_matrix(n: int, z: float) -> np.ndarray:

@@ -7,7 +7,9 @@ Braid-family config::
      "symmetry_overrides": [{"i": 1, "j": 3, "epsilon": "+", "value": 1.0}]}
 
 Parameter keys are restricted to canonical representatives (i, j up to
-ceil(N/2)); values are numbers or exact-rational strings like "1/3".
+ceil(N/2)); values are finite numbers or exact-rational strings like
+"1/3".  N, n, i, and j must be JSON integers: 4.7 or true is refused,
+never truncated or coerced.
 ``symmetry_overrides`` is optional and patches raw grid entries *after*
 mirror-symmetry expansion; it exists to express deliberate constraint
 violations for negative-control runs and voids all symmetry guarantees.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
@@ -42,18 +43,14 @@ def parse_config(obj: object) -> Config:
     if not isinstance(obj, dict):
         raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
     if obj.get("reference"):
-        try:
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("reference config requires an integer 'n'") from exc
+        n = _integer(obj, "n", "reference config")
         if n < 1:
             raise ConfigError(f"reference half-dimension must be >= 1, got {n}")
         return ReferenceConfig(n=n)
-    try:
-        dim = int(obj["N"])
-        mode = obj["mode"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config requires integer 'N' and 'mode': {exc}") from exc
+    dim = _integer(obj, "N", "config")
+    if "mode" not in obj:
+        raise ConfigError("config requires 'mode'")
+    mode = obj["mode"]
     values = {}
     for entry in _entry_list(obj.get("parameters", []), "parameters"):
         key, value = _parse_entry(entry)
@@ -63,17 +60,17 @@ def parse_config(obj: object) -> Config:
     overrides = []
     for entry in _entry_list(obj.get("symmetry_overrides", []), "symmetry_overrides"):
         key, value = _parse_entry(entry)
-        overrides.append((key[0], key[1], key[2], _to_float(value)))
+        overrides.append((key[0], key[1], key[2], value))
     return make_parameters(dim, mode, values, overrides=tuple(overrides))
 
 
-def _to_float(value: object) -> float:
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse rational value {value!r}") from exc
-    return float(value)  # type: ignore[arg-type]
+def _integer(obj: dict, key: str, owner: str) -> int:
+    if key not in obj:
+        raise ConfigError(f"{owner} requires an integer {key!r}")
+    raw = obj[key]
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{key!r} must be an integer, got {raw!r}")
+    return raw
 
 
 def _entry_list(raw: object, field_name: str) -> list:
@@ -86,12 +83,12 @@ def _parse_entry(entry: object) -> tuple[tuple[int, int, int], object]:
     if not isinstance(entry, dict):
         raise ConfigError(f"parameter entry must be an object, got {entry!r}")
     try:
-        i = int(entry["i"])
-        j = int(entry["j"])
         epsilon = entry["epsilon"]
         value = entry["value"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"malformed parameter entry {entry!r}: {exc}") from exc
+    i = _integer(entry, "i", "parameter entry")
+    j = _integer(entry, "j", "parameter entry")
     if epsilon not in ("+", "-"):
         raise ConfigError(f"epsilon must be '+' or '-', got {epsilon!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):

@@ -3,8 +3,11 @@
 Matrices are plain 2-D numpy arrays (square, float64 or complex128) and
 vectors are 1-D arrays.  All functions are pure: inputs are never mutated
 and results are freshly allocated, so values can be shared freely between
-threads.  Sizes stay small (side length at most a few hundred), hence
-dense storage throughout.
+threads.  These kernels serve the two-qudit space (N^2 x N^2); the
+braid and exponential checks never form the N^3 x N^3 triple space
+densely but work on the diagonal/antidiagonal structure instead (see
+``verify.exchange_residual``), and ``kron`` remains for callers and
+tests that want explicit tensor products.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import numpy as np
 
 from .errors import AccuracyError, DimensionError, SizeLimitError
 
-# Triple tensor spaces at the largest supported qudit dimension are
-# 512-dimensional; the cap leaves generous headroom while catching
-# accidentally huge Kronecker products.
+# Catches accidentally huge Kronecker products: 4096 is the dense triple
+# space of N = 16 (a 4096 x 4096 complex matrix takes 268 MB).  No
+# verification check calls kron, so the cap bounds no side length.
 MAX_KRON_DIM = 4096
 
 # Largest matrix norm accepted by matrix_exponential; past this point the

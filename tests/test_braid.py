@@ -20,6 +20,7 @@ from braidmat import (
     reference_phase_matrix,
     reference_projectors,
 )
+from braidmat import braid
 
 PATH_TOL = 1e-14
 
@@ -195,6 +196,21 @@ def test_construction_paths_agree():
                 max_abs_diff(family.matrix(theta), family.matrix_from_basis(theta))
                 <= PATH_TOL
             )
+
+
+def test_basis_is_built_on_first_use(monkeypatch):
+    # matrix() reads only the exponent grid; the N^6-float basis waits
+    # until something asks for it
+    calls = []
+    build = braid.projector_family
+    monkeypatch.setattr(
+        braid, "projector_family", lambda *args: calls.append(args) or build(*args)
+    )
+    family = BraidFamily.create(random_params(5, "real", 3))
+    family.matrix(0.4)
+    assert calls == []
+    assert len(family.basis) == 25
+    assert calls == [(5, "unified")]
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8])

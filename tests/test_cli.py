@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from braidmat import matrix_from_json
+from braidmat import canonical_keys, matrix_from_json
 from braidmat.cli import main, parse_angle
 
 
@@ -213,6 +213,27 @@ def test_verify_rejects_unknown_suite(tmp_path):
 def test_verify_reference_config(tmp_path):
     config = write_config(tmp_path, {"reference": True, "n": 1})
     assert main(["verify", "--config", config, "--samples", "3"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["braid", "exponential"])
+def test_verify_n17_decides_both_ways(tmp_path, suite):
+    # the N = 17 triple space (4913-dimensional) is past the kron cap:
+    # the identity must still pass, and a negative control still fail
+    keys = canonical_keys(17)
+    values = np.random.default_rng(17).uniform(-2, 2, len(keys))
+    parameters = [
+        {"i": i, "j": j, "epsilon": "+" if eps > 0 else "-", "value": float(v)}
+        for (i, j, eps), v in zip(keys, values)
+    ]
+    override = {"i": 1, "j": 17, "epsilon": "+", "value": float(values[0]) + 1.0}
+    report_path = tmp_path / "report.json"
+    for expected, extra in ((0, {}), (1, {"symmetry_overrides": [override]})):
+        config = write_config(tmp_path, braid_config(17, "unitary", parameters, **extra))
+        argv = ["verify", "--config", config, "--suite", suite, "--samples", "1"]
+        assert main(argv + ["--report", str(report_path)]) == expected
+        checks = json.loads(report_path.read_text())["checks"]
+        assert [c["name"] for c in checks] == [suite, suite]
+        assert all(c["residual"] is not None for c in checks)
 
 
 # ------------------------------------------------------------ entangle

@@ -1,0 +1,208 @@
+"""Dense oracles for the structured verification kernels.
+
+``check_braid`` and the exchange half of ``check_exponential`` compare the
+two triple products column by column on at most four slots, and
+``projector_checks`` multiplies only the member pairs whose supports meet.
+The dense computations they replace live on here as oracles: the full
+N^3 x N^3 Kronecker products and the all-pairs orthogonality loop.  They
+are compared with the structured kernels on random draws, symmetry
+overrides, and negative controls, so the fast paths never check
+themselves.
+"""
+
+import numpy as np
+import pytest
+
+from braidmat import (
+    BraidFamily,
+    ConstructionError,
+    ProjectorFamily,
+    canonical_keys,
+    check_braid,
+    check_exponential,
+    kron,
+    make_parameters,
+    matrix_exponential,
+    normalized_residual,
+    projector_checks,
+    run_suite,
+)
+from braidmat import verify
+from braidmat.linalg import MAX_EXP_NORM
+from braidmat.verify import PROJECTOR_TOL, exchange_residual
+
+# Structured and dense residuals sum the same few products in another
+# order; residuals are normalized to a scale of at least 1.
+ORACLE_TOL = 8 * np.finfo(float).eps
+
+
+def dense_exchange_residual(r_t, r_s, r_p, dim):
+    """Residual of R12(t) R23(s) R12(t') vs R23(t') R12(s) R23(t) from
+    dense Kronecker products on the N^3-dimensional triple space."""
+    eye = np.eye(dim)
+    lhs = kron(r_t, eye) @ kron(eye, r_s) @ kron(r_p, eye)
+    rhs = kron(eye, r_p) @ kron(r_s, eye) @ kron(eye, r_t)
+    return normalized_residual(lhs, rhs)
+
+
+def pairwise_orthogonality(members):
+    """Largest entry of a @ b over all ordered pairs of distinct members."""
+    orth = 0.0
+    for a_idx, a in enumerate(members):
+        for b_idx, b in enumerate(members):
+            if a_idx != b_idx:
+                orth = max(orth, float(np.abs(a @ b).max()))
+    return orth
+
+
+def random_family(dim, mode, rng, overrides=0):
+    """Random canonical values, plus ``overrides`` random raw grid patches
+    (any index, the odd-N centre included) that break mirror symmetry."""
+    keys = canonical_keys(dim)
+    values = dict(zip(keys, rng.uniform(-2, 2, len(keys))))
+    patches = tuple(
+        (
+            int(rng.integers(1, dim + 1)),
+            int(rng.integers(1, dim + 1)),
+            int(rng.choice([1, -1])),
+            float(rng.uniform(-2, 2)),
+        )
+        for _ in range(overrides)
+    )
+    return BraidFamily.create(make_parameters(dim, mode, values, overrides=patches))
+
+
+def decoupled(family):
+    """Negative control: shift the (1, N, +) entry away from its orbit."""
+    shifted = family.params.value(1, 1, +1) + 1.0
+    return BraidFamily.create(family.params.with_override(1, family.dim, +1, shifted))
+
+
+# ------------------------------------------------------------ triple products
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("mode", ["real", "unitary"])
+def test_structured_exchange_matches_dense_oracle(dim, mode):
+    rng = np.random.default_rng(1000 * dim + len(mode))
+    for overrides in (0, 0, 1, 2, 3, 3):
+        family = random_family(dim, mode, rng, overrides)
+        theta, theta_prime = rng.uniform(-1, 1, 2)
+        braid = check_braid(family, theta, theta_prime)
+        expected = dense_exchange_residual(
+            family.matrix(theta),
+            family.matrix(theta + theta_prime),
+            family.matrix(theta_prime),
+            dim,
+        )
+        assert abs(braid.residual - expected) <= ORACLE_TOL
+        assert braid.passed == (expected <= braid.tolerance)
+
+        exponential = check_exponential(family, theta)
+        x = family.generator().matrix
+        e_t, e_h, e_s = (
+            matrix_exponential(c * x) for c in (theta, theta / 2, 1.5 * theta)
+        )
+        expected = dense_exchange_residual(e_t, e_s, e_h, dim)
+        structured = exponential.context["exp_exchange_residual"]
+        assert abs(structured - expected) <= ORACLE_TOL
+        if overrides == 0:
+            assert braid.passed and exponential.passed
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("mode", ["real", "unitary"])
+def test_negative_controls_fail_structured_and_dense(dim, mode):
+    family = decoupled(random_family(dim, mode, np.random.default_rng(dim)))
+    theta, theta_prime = 0.63, -0.41
+    structured = check_braid(family, theta, theta_prime)
+    dense = dense_exchange_residual(
+        family.matrix(theta),
+        family.matrix(theta + theta_prime),
+        family.matrix(theta_prime),
+        dim,
+    )
+    assert not structured.passed
+    assert dense > structured.tolerance
+    assert abs(structured.residual - dense) <= ORACLE_TOL
+
+    x = family.generator().matrix
+    exps = [matrix_exponential(c * x) for c in (theta, 1.5 * theta, theta / 2)]
+    assert exchange_residual(*exps, dim) > 1e-6
+    assert dense_exchange_residual(*exps, dim) > 1e-6
+    assert not check_exponential(family, theta).passed
+
+
+def test_check_braid_refuses_an_off_pattern_entry(monkeypatch):
+    family = random_family(4, "unitary", np.random.default_rng(7))
+    built = BraidFamily.matrix
+
+    def with_stray_entry(self, theta):
+        m = built(self, theta).copy()
+        m[0, 1] += 1e-300  # far below any tolerance, yet never dropped
+        return m
+
+    monkeypatch.setattr(BraidFamily, "matrix", with_stray_entry)
+    with pytest.raises(ConstructionError, match="off the diagonal/antidiagonal"):
+        check_braid(family, 0.3, 0.2)
+    report = run_suite(family.params, suite="braid", samples=1)
+    assert not report.passed
+    assert all("off the diagonal" in c.context["error"] for c in report.checks)
+
+
+# ------------------------------------------------------------ projectors
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_support_pruned_orthogonality_matches_pairwise_oracle(dim):
+    results = projector_checks(dim)
+    orth = {
+        c.context["kind"]: c.residual
+        for c in results
+        if c.name == "projectors_orthogonal"
+    }
+    for kind, residual in orth.items():
+        fam = verify.projector_family(dim, kind)
+        assert residual == pairwise_orthogonality([fam.matrices[k] for k in fam.keys])
+    assert all(c.residual == 0.0 for c in results)
+
+
+@pytest.mark.parametrize("kind", ["unified", "P", "Q"])
+def test_overlapping_member_fails_pruned_and_pairwise(monkeypatch, kind):
+    dim = 4
+    clean = verify.projector_family(dim, kind)
+    first, other = clean.keys[0], clean.keys[5]
+    # couple the first member to the support of an unrelated member
+    col = int(np.flatnonzero(clean.matrices[other].any(axis=1))[0])
+    broken = dict(clean.matrices)
+    broken[first] = clean.matrices[first].copy()
+    broken[first][np.flatnonzero(clean.matrices[first].any(axis=0))[0], col] = 0.25
+    family = ProjectorFamily(dim=dim, kind=kind, keys=clean.keys, matrices=broken)
+    original = verify.projector_family
+    monkeypatch.setattr(
+        verify, "projector_family", lambda d, k: family if k == kind else original(d, k)
+    )
+    members = [broken[k] for k in clean.keys]
+    assert pairwise_orthogonality(members) > PROJECTOR_TOL
+    orth = [
+        c.residual
+        for c in projector_checks(dim)
+        if c.name == "projectors_orthogonal" and c.context["kind"] == kind
+    ]
+    assert orth == [pairwise_orthogonality(members)]
+
+
+# ------------------------------------------------------------ exponential
+
+
+@pytest.mark.parametrize("norm", [0.1, 0.5, 1.0, 5.0, 20.0, 50.0, 0.999 * MAX_EXP_NORM])
+def test_matrix_exponential_matches_scipy_expm(norm):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(int(norm * 1000))
+    h = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    generator = random_family(4, "unitary", rng).generator().matrix
+    for a in (rng.standard_normal((9, 9)), h, h - h.conj().T, generator):
+        a = a * (norm / np.abs(a).sum(axis=0).max())
+        expected = linalg.expm(a)
+        error = np.abs(matrix_exponential(a) - expected).max()
+        assert error / max(1.0, np.abs(expected).max()) <= 1e-12

@@ -18,6 +18,9 @@ from braidmat import (
     check_factorization,
     check_unitarity,
     make_parameters,
+    max_abs_diff,
+    reference_checks,
+    reference_projectors,
     run_suite,
     unitarity_defect,
 )
@@ -289,3 +292,22 @@ def test_tolerance_schedule():
     assert tol["theta_reversal"] == pytest.approx(1e-13)
     assert tol["composition"] == pytest.approx(1e-13)
     assert tol["projectors_idempotent"] == 1e-14
+
+
+def test_reference_checks_report_the_construction_residuals():
+    # reference_checks reuses the residuals measured while the pair was
+    # built; recomputing them from the returned matrices gives the same bits
+    for n in (1, 2, 3):
+        plus, minus, rot = reference_projectors(n)
+        eye = np.eye(plus.shape[0])
+        pair = max(
+            max_abs_diff(plus @ plus, plus),
+            max_abs_diff(minus @ minus, minus),
+            float(np.abs(plus @ minus).max()),
+            max_abs_diff(plus + minus, eye),
+        )
+        generator = max(
+            float(np.abs((-1j * (plus - minus)).imag).max()),
+            max_abs_diff(rot @ rot, -eye),
+        )
+        assert [c.residual for c in reference_checks(n)] == [pair, generator]
