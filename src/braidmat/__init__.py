@@ -12,23 +12,18 @@ action on product states.
 from .braid import (
     BlockStructureReport,
     BraidFamily,
-    Generator,
     ParameterSet,
     block_structure,
     canonical_keys,
-    even_form_matrix,
     free_parameter_count,
     make_parameters,
     reference_matrix,
-    reference_phase_matrix,
     reference_projectors,
-    unitarity_defect,
 )
 from .config import ReferenceConfig, load_config, parse_config
 from .entangle import (
     EntanglementRecord,
     PeriodResult,
-    apply_to_product,
     degenerate_classes,
     detect_period,
     exceptional_scan,
@@ -47,7 +42,6 @@ from .errors import (
 from .linalg import (
     dagger,
     kron,
-    matmul,
     matrix_exponential,
     matrix_from_json,
     matrix_to_json,
@@ -57,11 +51,7 @@ from .linalg import (
 from .projectors import (
     ProjectorFamily,
     ProjectorKey,
-    braid_term,
-    matrix_unit,
     mirror_index,
-    pair_projector,
-    phased_projector,
     projector_family,
 )
 from .verify import (
@@ -91,7 +81,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "EntanglementRecord",
-    "Generator",
     "ModeError",
     "ParameterSet",
     "PeriodResult",
@@ -100,9 +89,7 @@ __all__ = [
     "ReferenceConfig",
     "SizeLimitError",
     "VerificationReport",
-    "apply_to_product",
     "block_structure",
-    "braid_term",
     "canonical_keys",
     "check_braid",
     "check_composition_law",
@@ -112,31 +99,24 @@ __all__ = [
     "dagger",
     "degenerate_classes",
     "detect_period",
-    "even_form_matrix",
     "exceptional_scan",
     "free_parameter_count",
     "kron",
     "load_config",
     "make_parameters",
-    "matmul",
     "matrix_exponential",
     "matrix_from_json",
     "matrix_to_json",
-    "matrix_unit",
     "max_abs_diff",
     "mirror_index",
     "normalized_residual",
-    "pair_projector",
     "parse_config",
-    "phased_projector",
     "projector_checks",
     "projector_family",
     "reference_checks",
     "reference_matrix",
-    "reference_phase_matrix",
     "reference_projectors",
     "run_suite",
     "scan_products",
     "schmidt_coefficients",
-    "unitarity_defect",
 ]

@@ -27,15 +27,11 @@ from .errors import (
     ConfigError,
     ConstructionError,
     DimensionError,
+    DomainError,
     ModeError,
 )
-from .linalg import dagger, max_abs_diff
-from .projectors import (
-    ProjectorFamily,
-    mirror_index,
-    pair_projector,
-    projector_family,
-)
+from .linalg import max_abs_diff
+from .projectors import ProjectorFamily, mirror_index, projector_family
 
 Mode = str  # "real" | "unitary"
 ParamKey = tuple[int, int, int]  # (i, j, epsilon)
@@ -245,18 +241,6 @@ def _normalize_key(raw_key: tuple) -> ParamKey:
 
 
 @dataclass(frozen=True, eq=False)
-class Generator:
-    """Infinitesimal generator: braid matrix = exp(theta * matrix).
-
-    Real mode gives a real matrix; unitary mode an anti-Hermitian one.
-    """
-
-    dim: int
-    mode: Mode
-    matrix: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class BraidFamily:
     """A parameter set bound to its projector basis; evaluates the braid
     matrix at any spectral parameter."""
@@ -338,11 +322,12 @@ class BraidFamily:
             out = out + c * member
         return out
 
-    def generator(self) -> Generator:
-        """Generator whose exponential reproduces the family.
+    def generator(self) -> np.ndarray:
+        """Infinitesimal generator X with matrix(theta) = exp(theta * X).
 
         Sums exponent-weighted basis projectors; in unitary mode the sum
-        is multiplied by the imaginary unit, making it anti-Hermitian.
+        is multiplied by the imaginary unit, making it anti-Hermitian
+        (complex128); real mode returns a real float64 matrix.
         """
         mp = self.params.exponents[0]
         mm = self.params.exponents[1]
@@ -352,37 +337,8 @@ class BraidFamily:
         x[idx, idx] += (0.5 * (mp + mm)).ravel()
         x[idx, size - 1 - idx] += (0.5 * (mp - mm)).ravel()
         if self.mode == "unitary":
-            return Generator(dim=self.dim, mode=self.mode, matrix=1j * x)
-        return Generator(dim=self.dim, mode=self.mode, matrix=x)
-
-
-def even_form_matrix(family: BraidFamily, theta: float) -> np.ndarray:
-    """Braid matrix via the even-dimension projector pairing.
-
-    Independent construction path: sums exp(m(i,j,s)*theta) times the
-    projector pair (i,j,s) + (i,j~,s) over i, j up to n.  Used to
-    cross-validate ``BraidFamily.matrix``; requires even side length and
-    an unbroken (symmetric) parameter set.
-    """
-    dim = family.dim
-    if dim % 2:
-        raise DimensionError("even-form construction requires even side length")
-    n = dim // 2
-    size = dim * dim
-    dtype = float if family.mode == "real" else complex
-    out = np.zeros((size, size), dtype=dtype)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for epsilon in (+1, -1):
-                pair = pair_projector(i, j, epsilon, n) + pair_projector(
-                    i, mirror_index(j, dim), epsilon, n
-                )
-                m = family.params.value(i, j, epsilon)
-                if family.mode == "real":
-                    out = out + np.exp(m * theta) * pair
-                else:
-                    out = out + np.exp(1j * m * theta) * pair
-    return out
+            return 1j * x
+        return x
 
 
 def pattern_grids(
@@ -440,16 +396,6 @@ class BlockStructureReport:
             and self.max_diagonal_asymmetry <= self.tolerance
             and self.max_antidiagonal_asymmetry <= self.tolerance
         )
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.dim,
-            "tolerance": self.tolerance,
-            "max_off_pattern": self.max_off_pattern,
-            "max_diagonal_asymmetry": self.max_diagonal_asymmetry,
-            "max_antidiagonal_asymmetry": self.max_antidiagonal_asymmetry,
-            "conforms": self.conforms,
-        }
 
 
 def block_structure(
@@ -540,32 +486,9 @@ def reference_matrix(n: int, z: float) -> np.ndarray:
     z3 = (z1 + z2)/(1 - z1 z2).
     """
     if not np.isfinite(z):
-        raise ValueError("z must be finite")
+        raise DomainError(f"z must be finite, got {z!r}")
     _, _, rot = reference_projectors(n)
     return np.eye(rot.shape[0]) + z * rot
-
-
-def reference_phase_matrix(n: int, z: float) -> np.ndarray:
-    """Phase-form reference matrix: conjugate unit phases on the pair.
-
-    Uses the principal branch of ((1 - iz)/(1 + iz))^(1/2); equals
-    (1 + z^2)^(-1/2) times reference_matrix(n, z).
-    """
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
-    plus, minus, _ = reference_projectors(n)
-    phase = np.sqrt((1.0 - 1j * z) / (1.0 + 1j * z))
-    return phase * plus + np.conjugate(phase) * minus
-
-
-def unitarity_defect(family: BraidFamily, theta: float) -> float:
-    """Raw max-norm deviation of dagger(R) @ R from the identity.
-
-    Meaningful in either mode: unitary families return rounding noise,
-    real-mode families a hyperbolically large defect (negative control).
-    """
-    r = family.matrix(theta)
-    return max_abs_diff(dagger(r) @ r, np.eye(r.shape[0]))
 
 
 def require_mode(params_or_family, mode: Mode) -> None:

@@ -30,11 +30,18 @@ _ANGLE_RE = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Decimal literal or pi fraction ("0.5", "pi", "pi/4", "-3pi/8")."""
+    """Decimal literal or pi fraction ("0.5", "pi", "pi/4", "-3pi/8");
+    NaN and infinite values are refused."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
+        value = _parse_pi_fraction(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not a finite number")
+    return value
+
+
+def _parse_pi_fraction(text: str) -> float:
     match = _ANGLE_RE.match(text)
     if not match:
         raise argparse.ArgumentTypeError(
@@ -104,10 +111,11 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_reference(args: argparse.Namespace) -> int:
-    checks = reference_checks(args.n)
-    checks.append(check_composition_law(args.n, args.z1, args.z2))
+    n = ReferenceConfig(args.n).n
+    checks = reference_checks(n)
+    checks.append(check_composition_law(n, args.z1, args.z2))
     payload = {
-        "n": args.n,
+        "n": n,
         "checks": [c.to_json() for c in checks],
         "passed": all(c.passed for c in checks),
     }

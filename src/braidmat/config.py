@@ -34,6 +34,10 @@ from .errors import ConfigError
 class ReferenceConfig:
     n: int
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ConfigError(f"reference half-dimension must be >= 1, got {self.n}")
+
 
 Config = Union[ParameterSet, ReferenceConfig]
 
@@ -43,10 +47,7 @@ def parse_config(obj: object) -> Config:
     if not isinstance(obj, dict):
         raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
     if obj.get("reference"):
-        n = _integer(obj, "n", "reference config")
-        if n < 1:
-            raise ConfigError(f"reference half-dimension must be >= 1, got {n}")
-        return ReferenceConfig(n=n)
+        return ReferenceConfig(n=_integer(obj, "n", "reference config"))
     dim = _integer(obj, "N", "config")
     if "mode" not in obj:
         raise ConfigError("config requires 'mode'")

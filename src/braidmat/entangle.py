@@ -103,22 +103,6 @@ def _record(state: np.ndarray, a: int, b: int, dim: int) -> EntanglementRecord:
     )
 
 
-def apply_to_product(
-    family: BraidFamily, a: int, b: int, theta: float
-) -> EntanglementRecord:
-    """Apply the braid matrix to |a,b> and report its Schmidt data.
-
-    Requires unitary mode: nonunitary images are unnormalized, which
-    leaves the entropy undefined.
-    """
-    require_mode(family, "unitary")
-    dim = family.dim
-    if not (1 <= a <= dim and 1 <= b <= dim):
-        raise IndexError(f"basis indices ({a},{b}) out of range 1..{dim}")
-    column = family.matrix(theta)[:, (a - 1) * dim + (b - 1)]
-    return _record(column, a, b, dim)
-
-
 def scan_products(
     family: BraidFamily, theta: float
 ) -> list[EntanglementRecord]:

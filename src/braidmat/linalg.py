@@ -70,15 +70,6 @@ def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarra
     return np.kron(a, b)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose, returned as a fresh contiguous array."""
     return np.ascontiguousarray(as_matrix(a).conj().T)

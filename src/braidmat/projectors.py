@@ -7,18 +7,18 @@ consists of rank-one projectors onto two-component combinations
 
     (|i,j> + s |i~,j~>) / sqrt(2),
 
-where i~, j~ are the mirrored indices and s is a sign or a phase.  Three
-flavours are provided:
+where i~, j~ are the mirrored indices and s is a sign or a phase, or
+onto the single state |i,j> at the self-mirrored centre of odd N.  Every
+member comes from one dyad builder; two kinds are provided:
 
-* "P"       - sign combinations, real symmetric, even N only;
-* "unified" - the mirror-orbit grouping that works for either parity,
-              built from elementary half-terms (see braid_term);
+* "unified" - sign combinations grouped by mirror orbit, real symmetric,
+              for either parity (at even N this is the paper's 2n pair
+              family, in the same order);
 * "Q"       - phase combinations with an alternating imaginary factor,
               Hermitian with imaginary off-diagonal blocks, even N only.
 
 Each full family is complete (members sum to the identity), mutually
-orthogonal, idempotent, and unit-trace.  Indices are 1-based throughout,
-including serialized forms.
+orthogonal, idempotent, and unit-trace.  Indices are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -30,11 +30,8 @@ from typing import Iterator, Literal, NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import matrix_to_json
 
-FamilyKind = Literal["P", "unified", "Q"]
-
-_EPSILON_LABEL = {+1: "+", -1: "-"}
+FamilyKind = Literal["unified", "Q"]
 
 
 def mirror_index(i: int, dim: int) -> int:
@@ -44,15 +41,6 @@ def mirror_index(i: int, dim: int) -> int:
     return dim + 1 - i
 
 
-def matrix_unit(a: int, b: int, dim: int) -> np.ndarray:
-    """dim x dim matrix with a single 1 in row a, column b (1-based)."""
-    if not (1 <= a <= dim and 1 <= b <= dim):
-        raise IndexError(f"indices ({a},{b}) out of range 1..{dim}")
-    m = np.zeros((dim, dim))
-    m[a - 1, b - 1] = 1.0
-    return m
-
-
 def _pair_positions(i: int, j: int, dim: int) -> tuple[int, int]:
     # 0-based positions of |i,j> and |i~,j~> in the product basis
     return (i - 1) * dim + (j - 1), (mirror_index(i, dim) - 1) * dim + (
@@ -60,79 +48,24 @@ def _pair_positions(i: int, j: int, dim: int) -> tuple[int, int]:
     )
 
 
-def braid_term(i: int, j: int, epsilon: int, dim: int) -> np.ndarray:
-    """Elementary half-term (|i,j><i,j| + eps |i,j><i~,j~|) / 2.
-
-    These are the building blocks the braid matrix is summed from; they
-    are not themselves projectors (T^2 = T/2 for non-central indices).
-    Summed over both signs and all i, j they give the identity; summed
-    over a mirror orbit at fixed sign they give a pair_projector.
-    """
-    _check_sign(epsilon)
-    r, c = _pair_positions(i, j, dim)
-    m = np.zeros((dim * dim, dim * dim))
-    m[r, r] += 0.5
-    m[r, c] += 0.5 * epsilon
-    return m
-
-
-def pair_projector(i: int, j: int, epsilon: int, n: int) -> np.ndarray:
-    """Rank-one projector onto (|i,j> + eps |i~,j~>)/sqrt(2) for N = 2n.
-
-    Real and symmetric, with entries 0 and 1/2.  Valid for any i, j in
-    1..2n; mirroring either index is the same as flipping it in the key
-    (the projector depends only on the unordered index pair).
-    """
-    _check_sign(epsilon)
-    dim = 2 * n
-    if n < 1:
-        raise DimensionError("half-dimension n must be >= 1")
-    r, c = _pair_positions(i, j, dim)
-    m = np.zeros((dim * dim, dim * dim))
+def _dyad(size: int, r: int, c: int, s: complex, dtype: type) -> np.ndarray:
+    """(|r> + s|c>)(<r| + conj(s)<c|)/2 for a unit-modulus s, or |r><r|
+    when r == c; entries are exactly 0, 1/2, s/2, conj(s)/2 and 1."""
+    m = np.zeros((size, size), dtype=dtype)
+    if r == c:
+        m[r, r] = 1.0
+        return m
     m[r, r] = 0.5
     m[c, c] = 0.5
-    m[r, c] = 0.5 * epsilon
-    m[c, r] = 0.5 * epsilon
+    m[r, c] = 0.5 * s.conjugate()
+    m[c, r] = 0.5 * s
     return m
-
-
-def phased_projector(i: int, j: int, epsilon: int, n: int) -> np.ndarray:
-    """Rank-one projector with the alternating imaginary coupling, N = 2n.
-
-    Equals (|i,j><i,j| + |i~,j~><i~,j~|)/2 plus the antisymmetric
-    off-diagonal part eps*i*(-1)^j~ (|i,j><i~,j~| - |i~,j~><i,j|)/2,
-    where j~ is the mirrored column index evaluated 1-based.  Hermitian
-    by construction; projects onto (|i,j> - eps*i*(-1)^j~ |i~,j~>)/sqrt(2).
-    The j-mirrored companion family member is this same formula evaluated
-    at the mirrored j.
-    """
-    _check_sign(epsilon)
-    dim = 2 * n
-    if n < 1:
-        raise DimensionError("half-dimension n must be >= 1")
-    r, c = _pair_positions(i, j, dim)
-    jbar = mirror_index(j, dim)
-    coupling = epsilon * 1j * (-1.0) ** jbar
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    m[r, r] = 0.5
-    m[c, c] = 0.5
-    m[r, c] = 0.5 * coupling
-    m[c, r] = -0.5 * coupling
-    return m
-
-
-def _check_sign(epsilon: int) -> None:
-    if epsilon not in (+1, -1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon!r}")
 
 
 class ProjectorKey(NamedTuple):
     i: int
     j: int
     epsilon: int
-
-    def label(self) -> str:
-        return f"({self.i},{self.j},{_EPSILON_LABEL[self.epsilon]})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,54 +89,12 @@ class ProjectorFamily:
         for key in self.keys:
             yield key, self.matrices[key]
 
-    def member(self, i: int, j: int, epsilon: int) -> np.ndarray:
-        return self.matrices[ProjectorKey(i, j, epsilon)]
-
     def completeness_sum(self) -> np.ndarray:
         """Sum of all members; equals the identity up to rounding."""
         total = np.zeros_like(next(iter(self.matrices.values())))
         for key in self.keys:
             total = total + self.matrices[key]
         return total
-
-    def image_vector(self, key: ProjectorKey) -> np.ndarray:
-        """Unit vector spanning the member's one-dimensional image.
-
-        Built from the index data, not extracted from the matrix, so it
-        doubles as an independent cross-check of the member (the member
-        must equal the outer product of this vector with itself).
-        """
-        r, c = _pair_positions(key.i, key.j, self.dim)
-        size = self.dim * self.dim
-        if self.kind == "Q":
-            v = np.zeros(size, dtype=complex)
-            jbar = mirror_index(key.j, self.dim)
-            v[r] = 1.0
-            v[c] = -key.epsilon * 1j * (-1.0) ** jbar
-            return v / np.sqrt(2.0)
-        v = np.zeros(size)
-        if r == c:  # self-mirrored center of an odd-dimension family
-            v[r] = 1.0
-            return v
-        v[r] = 1.0
-        v[c] = float(key.epsilon)
-        return v / np.sqrt(2.0)
-
-    def to_json(self) -> dict:
-        """{"N":, "kind":, "members": [{"i":, "j":, "epsilon":, "matrix":}]}"""
-        return {
-            "N": self.dim,
-            "kind": self.kind,
-            "members": [
-                {
-                    "i": key.i,
-                    "j": key.j,
-                    "epsilon": _EPSILON_LABEL[key.epsilon],
-                    "matrix": matrix_to_json(self.matrices[key]),
-                }
-                for key in self.keys
-            ],
-        }
 
 
 def orbit_representatives(dim: int) -> tuple[tuple[int, int], ...]:
@@ -217,52 +108,52 @@ def orbit_representatives(dim: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(reps))
 
 
+def _members(dim: int, kind: FamilyKind) -> Iterator[tuple[ProjectorKey, complex]]:
+    """Keys of the family in order, each with the coefficient s of the
+    mirrored state in its image vector |i,j> + s |i~,j~>."""
+    if kind == "unified":
+        for i, j in orbit_representatives(dim):
+            for epsilon in (+1, -1):
+                centre = (i, j) == (mirror_index(i, dim), mirror_index(j, dim))
+                if centre and epsilon == -1:
+                    continue  # the opposite-sign combination is the zero matrix
+                yield ProjectorKey(i, j, epsilon), epsilon
+    elif kind == "Q":
+        if dim % 2:
+            raise DimensionError(f"kind {kind!r} requires even side length, got {dim}")
+        for i in range(1, dim // 2 + 1):
+            for j in range(1, dim + 1):
+                for epsilon in (+1, -1):
+                    s = -epsilon * 1j * (-1.0) ** mirror_index(j, dim)
+                    yield ProjectorKey(i, j, epsilon), s
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+
+
 @lru_cache(maxsize=None)
 def projector_family(dim: int, kind: FamilyKind) -> ProjectorFamily:
     """Construct the full projector family of the requested kind.
 
-    "P" and "Q" require even dim and are indexed by i in 1..n, j in
-    1..2n, epsilon in {+1, -1}.  "unified" works for either parity and
-    is indexed by the canonical mirror-orbit representatives; each orbit
-    carries both signs except the self-mirrored center (odd dim), which
-    appears once with epsilon = +1 (its opposite-sign combination is the
-    zero matrix and is omitted).
+    "unified" works for either parity and is indexed by the canonical
+    mirror-orbit representatives; each orbit carries both signs except
+    the self-mirrored center (odd dim), which appears once with
+    epsilon = +1.  "Q" requires even dim and is indexed by i in 1..n,
+    j in 1..2n, epsilon in {+1, -1}; its member (i, j, eps) projects
+    onto (|i,j> - eps*i*(-1)^j~ |i~,j~>)/sqrt(2), with j~ the mirrored
+    column index.
 
     Families are cached and their arrays marked read-only; treat them as
     immutable shared values.
     """
     if dim < 2:
         raise DimensionError("side length must be >= 2")
+    dtype = complex if kind == "Q" else float
     keys: list[ProjectorKey] = []
     matrices: dict[ProjectorKey, np.ndarray] = {}
-    if kind in ("P", "Q"):
-        if dim % 2:
-            raise DimensionError(f"kind {kind!r} requires even side length, got {dim}")
-        n = dim // 2
-        build = pair_projector if kind == "P" else phased_projector
-        for i in range(1, n + 1):
-            for j in range(1, dim + 1):
-                for epsilon in (+1, -1):
-                    key = ProjectorKey(i, j, epsilon)
-                    keys.append(key)
-                    matrices[key] = build(i, j, epsilon, n)
-    elif kind == "unified":
-        for i, j in orbit_representatives(dim):
-            mi, mj = mirror_index(i, dim), mirror_index(j, dim)
-            for epsilon in (+1, -1):
-                if (i, j) == (mi, mj):
-                    if epsilon == -1:
-                        continue
-                    member = braid_term(i, j, +1, dim) + braid_term(i, j, -1, dim)
-                else:
-                    member = braid_term(i, j, epsilon, dim) + braid_term(
-                        mi, mj, epsilon, dim
-                    )
-                key = ProjectorKey(i, j, epsilon)
-                keys.append(key)
-                matrices[key] = member
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    for m in matrices.values():
-        m.setflags(write=False)
+    for key, s in _members(dim, kind):
+        r, c = _pair_positions(key.i, key.j, dim)
+        member = _dyad(dim * dim, r, c, s, dtype)
+        member.setflags(write=False)
+        keys.append(key)
+        matrices[key] = member
     return ProjectorFamily(dim=dim, kind=kind, keys=tuple(keys), matrices=matrices)

@@ -303,7 +303,7 @@ def check_exponential(
     in the braid pattern because products of pattern matrices keep its
     zeros, so the structured triple product applies to them too.
     """
-    x = family.generator().matrix
+    x = family.generator()
     e_t = matrix_exponential(theta * x)
     direct = normalized_residual(family.matrix(theta), e_t)
     half = theta / 2.0
@@ -353,7 +353,7 @@ def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[CheckResult]:
     other product is exactly zero, so the residual equals that of the
     full pairwise loop.
     """
-    kinds = ["unified"] + (["P", "Q"] if dim % 2 == 0 else [])
+    kinds = ["unified"] + (["Q"] if dim % 2 == 0 else [])
     results = []
     for kind in kinds:
         fam = projector_family(dim, kind)
@@ -439,6 +439,8 @@ def run_suite(
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     if samples < 0:
         raise ConfigError("samples must be >= 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
     if isinstance(config, ReferenceConfig):
         return _run_reference_suite(config, suite, samples, seed, tol)
     params = config

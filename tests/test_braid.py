@@ -7,20 +7,19 @@ from braidmat import (
     AccuracyError,
     BraidFamily,
     ConfigError,
-    DimensionError,
+    DomainError,
     block_structure,
     canonical_keys,
     dagger,
-    even_form_matrix,
     free_parameter_count,
     make_parameters,
     matrix_exponential,
     max_abs_diff,
     reference_matrix,
-    reference_phase_matrix,
     reference_projectors,
 )
 from braidmat import braid
+from test_oracles import even_form_matrix, reference_phase_matrix
 
 PATH_TOL = 1e-14
 
@@ -224,12 +223,6 @@ def test_even_form_path_agrees(dim):
         )
 
 
-def test_even_form_rejects_odd_dim():
-    family = BraidFamily.create(random_params(3, "real", 1))
-    with pytest.raises(DimensionError):
-        even_form_matrix(family, 0.5)
-
-
 def test_real_mode_is_real():
     got = BraidFamily.create(random_params(4, "real", 2)).matrix(0.9)
     assert got.dtype == np.float64
@@ -303,21 +296,21 @@ def test_block_structure_flags_asymmetry():
 
 def test_generator_dim2_antidiagonal():
     params = make_parameters(2, "real", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
-    x = BraidFamily.create(params).generator().matrix
+    x = BraidFamily.create(params).generator()
     assert np.array_equal(x, np.fliplr(np.eye(4)))
     assert np.array_equal(x @ x, np.eye(4))
 
 
 def test_generator_zero_params():
-    x = BraidFamily.create(make_parameters(3, "real", {})).generator().matrix
+    x = BraidFamily.create(make_parameters(3, "real", {})).generator()
     assert np.array_equal(x, np.zeros((9, 9)))
 
 
 def test_generator_mode_structure():
     real_gen = BraidFamily.create(random_params(4, "real", 9)).generator()
-    assert real_gen.matrix.dtype == np.float64
+    assert real_gen.dtype == np.float64
     unitary_gen = BraidFamily.create(random_params(4, "unitary", 9)).generator()
-    assert np.array_equal(dagger(unitary_gen.matrix), -unitary_gen.matrix)
+    assert np.array_equal(dagger(unitary_gen), -unitary_gen)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -325,7 +318,7 @@ def test_generator_power_identity(dim):
     # X^k equals the sum of k-th exponent powers times the projectors
     params = random_params(dim, "real", 40 + dim)
     family = BraidFamily.create(params)
-    x = family.generator().matrix
+    x = family.generator()
     power = np.eye(dim * dim)
     for k in range(1, 6):
         power = power @ x
@@ -340,7 +333,7 @@ def test_exponential_of_generator_reproduces_family(mode):
     for dim in (2, 3, 4):
         params = random_params(dim, mode, 50 + dim, low=-1.5, high=1.5)
         family = BraidFamily.create(params)
-        x = family.generator().matrix
+        x = family.generator()
         for theta in (-3.3, 0.4, 2.0):
             built = family.matrix(theta)
             scale = max(1.0, float(np.abs(built).max()))
@@ -366,6 +359,12 @@ def test_reference_projectors_self_checks():
 
 def test_reference_matrix_at_zero():
     assert np.array_equal(reference_matrix(2, 0.0), np.eye(16))
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_reference_matrix_rejects_non_finite_z(z):
+    with pytest.raises(DomainError, match="z must be finite"):
+        reference_matrix(1, z)
 
 
 def test_reference_matrix_orthogonality_relation():

@@ -45,6 +45,32 @@ def test_parse_angle_rejects_junk():
         parse_angle("pi/0")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["inf", "-inf", "nan", "1e400", "9" * 400 + "pi"],
+    ids=["inf", "-inf", "nan", "overflow", "overflowing-pi-fraction"],
+)
+def test_parse_angle_rejects_non_finite(text):
+    import argparse
+
+    with pytest.raises(argparse.ArgumentTypeError, match="not a finite number"):
+        parse_angle(text)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["build", "entangle", "reference"])
+def test_non_finite_angle_exits_two(tmp_path, capsys, command, value):
+    if command == "reference":
+        argv = ["reference", "--n", "1", "--z1", value, "--z2", "0.5"]
+    else:
+        config = write_config(tmp_path, braid_config())
+        argv = [command, "--config", config, "--theta", value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ build
 
 
@@ -170,6 +196,23 @@ def test_verify_negative_control_exits_one(tmp_path):
         ),
     )
     assert main(["verify", "--config", config, "--suite", "braid", "--samples", "2"]) == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    # an infinite tolerance would let this negative control pass
+    config = write_config(
+        tmp_path,
+        braid_config(
+            dim=4,
+            mode="real",
+            parameters=[{"i": 1, "j": 2, "epsilon": "+", "value": 0.4}],
+            symmetry_overrides=[{"i": 1, "j": 3, "epsilon": "+", "value": 1.6}],
+        ),
+    )
+    argv = ["verify", "--config", config, "--suite", "braid", "--samples", "2"]
+    assert main(argv + ["--tol", tol]) == 2
+    assert "tol must be a finite number > 0" in capsys.readouterr().err
 
 
 def test_verify_unitarity_on_real_mode_exits_one(tmp_path):
@@ -304,6 +347,13 @@ def test_reference_command(tmp_path, capsys):
     composition = [c for c in payload["checks"] if c["name"] == "composition"][0]
     assert composition["context"]["z3"] == pytest.approx(4.0 / 3.0)
     assert composition["context"]["scalar"] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_reference_rejects_nonpositive_n(capsys, n):
+    assert main(["reference", "--n", n, "--z1", "0.5", "--z2", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert f"reference half-dimension must be >= 1, got {n}" in err
 
 
 def test_reference_config_rejected_for_build(tmp_path, capsys):

@@ -7,7 +7,6 @@ from braidmat import (
     AccuracyError,
     BraidFamily,
     ModeError,
-    apply_to_product,
     canonical_keys,
     degenerate_classes,
     detect_period,
@@ -31,12 +30,17 @@ def generic_family(dim):
     return BraidFamily.create(generic_params(dim))
 
 
+def record_of(family, a, b, theta):
+    """Record of |a,b> from the full scan, which lists states in (a, b) order."""
+    return scan_products(family, theta)[(a - 1) * family.dim + (b - 1)]
+
+
 # ------------------------------------------------------------ records
 
 
 def test_identity_theta_preserves_products():
     family = generic_family(3)
-    record = apply_to_product(family, 2, 3, 0.0)
+    record = record_of(family, 2, 3, 0.0)
     assert record.schmidt_rank == 1
     assert record.entropy == 0.0
     assert record.singular_values[0] == pytest.approx(1.0, abs=1e-15)
@@ -44,7 +48,7 @@ def test_identity_theta_preserves_products():
 
 def test_dim2_maximal_entanglement_at_quarter_pi():
     params = make_parameters(2, "unitary", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
-    record = apply_to_product(BraidFamily.create(params), 1, 1, math.pi / 4)
+    record = record_of(BraidFamily.create(params), 1, 1, math.pi / 4)
     assert record.schmidt_rank == 2
     np.testing.assert_allclose(
         record.singular_values, [1 / math.sqrt(2)] * 2, atol=1e-14
@@ -55,7 +59,7 @@ def test_dim2_maximal_entanglement_at_quarter_pi():
 def test_odd_central_state_is_conserved():
     family = generic_family(3)
     for theta in (0.4, 1.7, -2.9):
-        record = apply_to_product(family, 2, 2, theta)
+        record = record_of(family, 2, 2, theta)
         assert record.schmidt_rank == 1
         assert record.entropy == 0.0
 
@@ -64,14 +68,16 @@ def test_real_mode_rejected():
     params = make_parameters(2, "real", {(1, 1, +1): 1.0})
     family = BraidFamily.create(params)
     with pytest.raises(ModeError):
-        apply_to_product(family, 1, 1, 0.5)
+        scan_products(family, 0.5)
     with pytest.raises(ModeError):
         exceptional_scan(family, 0.5)
 
 
 def test_index_range_checked():
-    with pytest.raises(IndexError):
-        apply_to_product(generic_family(2), 3, 1, 0.5)
+    # one record per state |a,b>, a and b in 1..N, in (a, b) order
+    records = scan_products(generic_family(3), 0.5)
+    expected = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    assert [(r.a, r.b) for r in records] == expected
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -86,8 +92,8 @@ def test_norm_preservation_and_rank_bound(dim):
 def test_entropy_even_in_theta():
     family = generic_family(4)
     for a, b in [(1, 1), (2, 3), (4, 2)]:
-        forward = apply_to_product(family, a, b, 1.3).entropy
-        backward = apply_to_product(family, a, b, -1.3).entropy
+        forward = record_of(family, a, b, 1.3).entropy
+        backward = record_of(family, a, b, -1.3).entropy
         assert forward == pytest.approx(backward, abs=1e-12)
 
 

@@ -11,7 +11,6 @@ from braidmat import (
     dagger,
     kron,
     make_parameters,
-    matmul,
     matrix_exponential,
     matrix_from_json,
     matrix_to_json,
@@ -76,34 +75,9 @@ def test_kron_mixed_product_property():
     b, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
     for m in (a, b, c, d):
         m /= np.abs(m).max()
-    lhs = matmul(kron(a, b), kron(c, d))
-    rhs = kron(matmul(a, c), matmul(b, d))
+    lhs = kron(a, b) @ kron(c, d)
+    rhs = kron(a @ c, b @ d)
     assert max_abs_diff(lhs, rhs) < 1e-13
-
-
-# ---------------------------------------------------------------- matmul
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(1)
-    m = rng.standard_normal((5, 5))
-    assert np.array_equal(matmul(np.eye(5), m), m)
-
-
-def test_matmul_matrix_units():
-    assert np.array_equal(matmul(unit(0, 1, 2), unit(1, 0, 2)), unit(0, 0, 2))
-
-
-def test_matmul_adjoint_inverts_unitary():
-    # unitary-mode braid matrix: its adjoint is its inverse
-    params = make_parameters(4, "unitary", {(1, 1, +1): 0.8, (2, 1, -1): -1.3})
-    u = BraidFamily.create(params).matrix(0.9)
-    assert max_abs_diff(matmul(u, dagger(u)), np.eye(16)) < 1e-12
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(np.eye(2), np.eye(3))
 
 
 # ---------------------------------------------------------------- dagger
@@ -129,11 +103,11 @@ def test_dagger_reverses_products():
     b = rng.standard_normal((6, 6))
     # exact for real matrices; the complex BLAS kernel reassociates the
     # imaginary part, leaving a few ulps
-    assert np.array_equal(dagger(matmul(a, b)), matmul(dagger(b), dagger(a)))
+    assert np.array_equal(dagger(a @ b), dagger(b) @ dagger(a))
     ac = a + 1j * rng.standard_normal((6, 6))
     bc = b + 1j * rng.standard_normal((6, 6))
-    lhs = dagger(matmul(ac, bc))
-    rhs = matmul(dagger(bc), dagger(ac))
+    lhs = dagger(ac @ bc)
+    rhs = dagger(bc) @ dagger(ac)
     assert max_abs_diff(lhs, rhs) <= 8 * np.finfo(float).eps * np.abs(lhs).max()
 
 
@@ -189,7 +163,7 @@ def test_exp_of_generator_matches_direct_build():
     params = make_parameters(2, "real", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
     family = BraidFamily.create(params)
     theta = 0.85
-    x = family.generator().matrix
+    x = family.generator()
     assert max_abs_diff(matrix_exponential(theta * x), family.matrix(theta)) < 1e-10
 
 
@@ -197,7 +171,7 @@ def test_exp_inverse_property():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((8, 8))
     a *= 10.0 / np.abs(a).sum(axis=0).max()
-    prod = matmul(matrix_exponential(a), matrix_exponential(-a))
+    prod = matrix_exponential(a) @ matrix_exponential(-a)
     assert max_abs_diff(prod, np.eye(8)) < 1e-10
 
 

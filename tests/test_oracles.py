@@ -1,4 +1,4 @@
-"""Dense oracles for the structured verification kernels.
+"""Independent oracles for the structured kernels and the projector builder.
 
 ``check_braid`` and the exchange half of ``check_exponential`` compare the
 two triple products column by column on at most four slots, and
@@ -8,6 +8,12 @@ N^3 x N^3 Kronecker products and the all-pairs orthogonality loop.  They
 are compared with the structured kernels on random draws, symmetry
 overrides, and negative controls, so the fast paths never check
 themselves.
+
+Every projector family member comes from one dyad builder.  The per-kind
+index formulas of the paper (elementary half-terms, the even-N pair
+projectors, the phased projectors, their image vectors, the even-form
+pair sum and the phase-form reference matrix) are written out here from
+the index data alone, never through that builder, and pin it.
 """
 
 import numpy as np
@@ -25,6 +31,7 @@ from braidmat import (
     matrix_exponential,
     normalized_residual,
     projector_checks,
+    projector_family,
     run_suite,
 )
 from braidmat import verify
@@ -78,6 +85,117 @@ def decoupled(family):
     return BraidFamily.create(family.params.with_override(1, family.dim, +1, shifted))
 
 
+def positions(i, j, dim):
+    """0-based positions of |i,j> and its mirror |N+1-i, N+1-j>."""
+    return (i - 1) * dim + (j - 1), (dim - i) * dim + (dim - j)
+
+
+def braid_term(i, j, epsilon, dim):
+    """Elementary half-term (|i,j><i,j| + eps |i,j><i~,j~|) / 2.
+
+    Not a projector itself; summed over both signs and all i, j it gives
+    the identity, summed over a mirror orbit at fixed sign a projector.
+    """
+    r, c = positions(i, j, dim)
+    m = np.zeros((dim * dim, dim * dim))
+    m[r, r] += 0.5
+    m[r, c] += 0.5 * epsilon
+    return m
+
+
+def orbit_sum(i, j, epsilon, dim):
+    """The "unified" member (i, j, eps): the half-terms of the mirror orbit
+    of (i, j) at sign eps, or of both signs at the odd-N centre."""
+    mi, mj = dim + 1 - i, dim + 1 - j
+    if (i, j) == (mi, mj):
+        return braid_term(i, j, +1, dim) + braid_term(i, j, -1, dim)
+    return braid_term(i, j, epsilon, dim) + braid_term(mi, mj, epsilon, dim)
+
+
+def pair_projector(i, j, epsilon, n):
+    """Projector onto (|i,j> + eps |i~,j~>)/sqrt(2) for N = 2n: real
+    symmetric, entries 0 and 1/2."""
+    dim = 2 * n
+    r, c = positions(i, j, dim)
+    m = np.zeros((dim * dim, dim * dim))
+    m[r, r] = 0.5
+    m[c, c] = 0.5
+    m[r, c] = 0.5 * epsilon
+    m[c, r] = 0.5 * epsilon
+    return m
+
+
+def phased_projector(i, j, epsilon, n):
+    """(|i,j><i,j| + |i~,j~><i~,j~|)/2 plus the antisymmetric coupling
+    eps*i*(-1)^j~ (|i,j><i~,j~| - |i~,j~><i,j|)/2 for N = 2n, with j~ the
+    mirrored column index evaluated 1-based."""
+    dim = 2 * n
+    r, c = positions(i, j, dim)
+    coupling = epsilon * 1j * (-1.0) ** (dim + 1 - j)
+    m = np.zeros((dim * dim, dim * dim), dtype=complex)
+    m[r, r] = 0.5
+    m[c, c] = 0.5
+    m[r, c] = 0.5 * coupling
+    m[c, r] = -0.5 * coupling
+    return m
+
+
+def image_vector(dim, kind, key):
+    """Unit vector spanning the image of the family member ``key``."""
+    i, j, epsilon = key
+    r, c = positions(i, j, dim)
+    if kind == "Q":
+        v = np.zeros(dim * dim, dtype=complex)
+        v[r] = 1.0
+        v[c] = -epsilon * 1j * (-1.0) ** (dim + 1 - j)
+        return v / np.sqrt(2.0)
+    v = np.zeros(dim * dim)
+    if r == c:  # self-mirrored centre of odd N
+        v[r] = 1.0
+        return v
+    v[r] = 1.0
+    v[c] = float(epsilon)
+    return v / np.sqrt(2.0)
+
+
+def even_form_matrix(family, theta):
+    """Braid matrix of a symmetric even-N family as the paper's sum of
+    exp(m(i,j,s) theta) times the pair projectors (i,j,s) + (i,j~,s) over
+    i, j up to n."""
+    dim = family.dim
+    n = dim // 2
+    size = dim * dim
+    dtype = float if family.mode == "real" else complex
+    out = np.zeros((size, size), dtype=dtype)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for epsilon in (+1, -1):
+                pair = pair_projector(i, j, epsilon, n) + pair_projector(
+                    i, dim + 1 - j, epsilon, n
+                )
+                m = family.params.value(i, j, epsilon)
+                if family.mode == "real":
+                    out = out + np.exp(m * theta) * pair
+                else:
+                    out = out + np.exp(1j * m * theta) * pair
+    return out
+
+
+def reference_phase_matrix(n, z):
+    """Phase form of the reference family: conjugate unit phases, principal
+    branch of ((1 - iz)/(1 + iz))^(1/2), on the sign sums of the phased
+    projectors."""
+    size = (2 * n) ** 2
+    plus = np.zeros((size, size), dtype=complex)
+    minus = np.zeros((size, size), dtype=complex)
+    for i in range(1, n + 1):
+        for j in range(1, 2 * n + 1):
+            plus = plus + phased_projector(i, j, +1, n)
+            minus = minus + phased_projector(i, j, -1, n)
+    phase = np.sqrt((1.0 - 1j * z) / (1.0 + 1j * z))
+    return phase * plus + np.conjugate(phase) * minus
+
+
 # ------------------------------------------------------------ triple products
 
 
@@ -99,7 +217,7 @@ def test_structured_exchange_matches_dense_oracle(dim, mode):
         assert braid.passed == (expected <= braid.tolerance)
 
         exponential = check_exponential(family, theta)
-        x = family.generator().matrix
+        x = family.generator()
         e_t, e_h, e_s = (
             matrix_exponential(c * x) for c in (theta, theta / 2, 1.5 * theta)
         )
@@ -126,7 +244,7 @@ def test_negative_controls_fail_structured_and_dense(dim, mode):
     assert dense > structured.tolerance
     assert abs(structured.residual - dense) <= ORACLE_TOL
 
-    x = family.generator().matrix
+    x = family.generator()
     exps = [matrix_exponential(c * x) for c in (theta, 1.5 * theta, theta / 2)]
     assert exchange_residual(*exps, dim) > 1e-6
     assert dense_exchange_residual(*exps, dim) > 1e-6
@@ -167,7 +285,7 @@ def test_support_pruned_orthogonality_matches_pairwise_oracle(dim):
     assert all(c.residual == 0.0 for c in results)
 
 
-@pytest.mark.parametrize("kind", ["unified", "P", "Q"])
+@pytest.mark.parametrize("kind", ["unified", "Q"])
 def test_overlapping_member_fails_pruned_and_pairwise(monkeypatch, kind):
     dim = 4
     clean = verify.projector_family(dim, kind)
@@ -192,6 +310,52 @@ def test_overlapping_member_fails_pruned_and_pairwise(monkeypatch, kind):
     assert orth == [pairwise_orthogonality(members)]
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+def test_members_match_the_index_formulas(dim):
+    unified = projector_family(dim, "unified")
+    assert len(unified) == dim * dim
+    for key, member in unified:
+        expected = orbit_sum(*key, dim)
+        assert member.dtype == expected.dtype == np.float64
+        assert np.array_equal(member, expected)
+    if dim % 2 == 0:
+        phased = projector_family(dim, "Q")
+        assert len(phased) == dim * dim
+        for key, member in phased:
+            expected = phased_projector(*key, dim // 2)
+            assert member.dtype == expected.dtype == np.complex128
+            assert np.array_equal(member, expected)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
+def test_pair_family_equals_unified(dim):
+    """The paper's even-N pair family, indexed i in 1..n, j in 1..2n, is the
+    "unified" family: same keys, same order, same members."""
+    n = dim // 2
+    pairs = [
+        ((i, j, epsilon), pair_projector(i, j, epsilon, n))
+        for i in range(1, n + 1)
+        for j in range(1, dim + 1)
+        for epsilon in (+1, -1)
+    ]
+    unified = projector_family(dim, "unified")
+    assert list(unified.keys) == [key for key, _ in pairs]
+    for (key, expected), (_, member) in zip(pairs, unified):
+        assert member.dtype == expected.dtype
+        assert np.array_equal(member, expected)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+@pytest.mark.parametrize("mode", ["real", "unitary"])
+def test_even_form_sum_equals_matrix_from_basis(dim, mode):
+    family = random_family(dim, mode, np.random.default_rng(60 + dim))
+    for theta in (-0.57, 0.83):
+        expected = even_form_matrix(family, theta)
+        got = family.matrix_from_basis(theta)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
 # ------------------------------------------------------------ exponential
 
 
@@ -200,7 +364,7 @@ def test_matrix_exponential_matches_scipy_expm(norm):
     linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(int(norm * 1000))
     h = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    generator = random_family(4, "unitary", rng).generator().matrix
+    generator = random_family(4, "unitary", rng).generator()
     for a in (rng.standard_normal((9, 9)), h, h - h.conj().T, generator):
         a = a * (norm / np.abs(a).sum(axis=0).max())
         expected = linalg.expm(a)

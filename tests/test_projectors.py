@@ -3,47 +3,30 @@ import pytest
 
 from braidmat import (
     DimensionError,
-    braid_term,
+    ProjectorKey,
     dagger,
-    matrix_from_json,
-    matrix_unit,
     max_abs_diff,
     mirror_index,
-    pair_projector,
-    phased_projector,
     projector_family,
 )
+from test_oracles import braid_term, image_vector
 
 ALGEBRA_TOL = 1e-14
 
 
+def unit(a, b, dim):
+    """dim x dim matrix with a single 1 in row a, column b (1-based)."""
+    m = np.zeros((dim, dim))
+    m[a - 1, b - 1] = 1.0
+    return m
+
+
 def kron_units(a, b, c, d, dim):
-    return np.kron(matrix_unit(a, b, dim), matrix_unit(c, d, dim))
+    return np.kron(unit(a, b, dim), unit(c, d, dim))
 
 
-def test_matrix_unit_basic():
-    expected = np.zeros((2, 2))
-    expected[0, 0] = 1.0
-    assert np.array_equal(matrix_unit(1, 1, 2), expected)
-
-
-def test_matrix_unit_product():
-    prod = matrix_unit(1, 2, 2) @ matrix_unit(2, 1, 2)
-    assert np.array_equal(prod, matrix_unit(1, 1, 2))
-
-
-def test_matrix_unit_trace():
-    for a in range(1, 4):
-        for b in range(1, 4):
-            trace = np.trace(matrix_unit(a, b, 3))
-            assert trace == (1.0 if a == b else 0.0)
-
-
-def test_matrix_unit_range_check():
-    with pytest.raises(IndexError):
-        matrix_unit(0, 1, 2)
-    with pytest.raises(IndexError):
-        matrix_unit(1, 3, 2)
+def member(dim, kind, i, j, epsilon):
+    return projector_family(dim, kind).matrices[ProjectorKey(i, j, epsilon)]
 
 
 def test_mirror_index():
@@ -58,30 +41,29 @@ def test_pair_projector_hand_expansion():
     expected = np.zeros((4, 4))
     for r, c in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         expected[r, c] = 0.5
-    assert np.array_equal(pair_projector(1, 1, +1, 1), expected)
+    assert np.array_equal(member(2, "unified", 1, 1, +1), expected)
 
 
 def test_pair_projector_sign_sum_is_diagonal():
-    total = pair_projector(1, 1, +1, 1) + pair_projector(1, 1, -1, 1)
+    total = member(2, "unified", 1, 1, +1) + member(2, "unified", 1, 1, -1)
     assert np.array_equal(total, np.diag([1.0, 0.0, 0.0, 1.0]))
 
 
 def test_pair_projector_unit_trace():
-    for n in (1, 2):
-        for i in range(1, n + 1):
-            for j in range(1, 2 * n + 1):
-                for eps in (+1, -1):
-                    assert np.trace(pair_projector(i, j, eps, n)) == 1.0
+    for dim in (2, 4):
+        for _, m in projector_family(dim, "unified"):
+            assert np.trace(m) == 1.0
 
 
 def test_braid_term_regroups_into_pair_projector():
     total = braid_term(1, 1, +1, 2) + braid_term(2, 2, +1, 2)
-    assert np.array_equal(total, pair_projector(1, 1, +1, 1))
+    assert np.array_equal(total, member(2, "unified", 1, 1, +1))
 
 
 def test_braid_term_central_element():
     total = braid_term(2, 2, +1, 3) + braid_term(2, 2, -1, 3)
     assert np.array_equal(total, kron_units(2, 2, 2, 2, 3))
+    assert np.array_equal(total, member(3, "unified", 2, 2, +1))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
@@ -101,16 +83,13 @@ def test_phased_projector_hand_expansion():
         + kron_units(2, 2, 2, 2, 2)
         + 1j * (kron_units(1, 2, 1, 2, 2) - kron_units(2, 1, 2, 1, 2))
     )
-    assert np.array_equal(phased_projector(1, 1, +1, 1), expected)
+    assert np.array_equal(member(2, "Q", 1, 1, +1), expected)
 
 
 def test_phased_projector_idempotent():
-    for n in (1, 2):
-        for i in range(1, n + 1):
-            for j in range(1, 2 * n + 1):
-                for eps in (+1, -1):
-                    q = phased_projector(i, j, eps, n)
-                    assert max_abs_diff(q @ q, q) <= ALGEBRA_TOL
+    for dim in (2, 4):
+        for _, q in projector_family(dim, "Q"):
+            assert max_abs_diff(q @ q, q) <= ALGEBRA_TOL
 
 
 def test_phased_family_completeness():
@@ -122,7 +101,7 @@ def test_phased_family_completeness():
 
 
 def available_kinds(dim):
-    return ["unified"] + (["P", "Q"] if dim % 2 == 0 else [])
+    return ["unified"] + (["Q"] if dim % 2 == 0 else [])
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8])
@@ -143,7 +122,8 @@ def test_family_algebra(dim):
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_p_family_real_symmetric(dim):
-    fam = projector_family(dim, "P")
+    # at even N the "unified" family is the paper's sign-pair family P
+    fam = projector_family(dim, "unified")
     for _, m in fam:
         assert m.dtype == np.float64
         assert np.array_equal(m, m.T)
@@ -157,46 +137,35 @@ def test_q_family_hermitian_exact(dim):
 
 
 def test_family_key_counts():
-    assert len(projector_family(2, "P")) == 4
-    assert len(projector_family(4, "P")) == 16
+    assert len(projector_family(2, "Q")) == 4
+    assert len(projector_family(4, "Q")) == 16
     for dim in (2, 3, 4, 5):
         assert len(projector_family(dim, "unified")) == dim * dim
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8])
 def test_image_vectors_form_orthonormal_basis(dim):
-    fam = projector_family(dim, "P")
-    vectors = np.stack([fam.image_vector(k) for k in fam.keys])
-    gram = vectors @ vectors.T
-    assert max_abs_diff(gram, np.eye(dim * dim)) <= ALGEBRA_TOL
+    for kind in available_kinds(dim):
+        fam = projector_family(dim, kind)
+        vectors = np.stack([image_vector(dim, kind, k) for k in fam.keys])
+        gram = vectors.conj() @ vectors.T
+        assert max_abs_diff(gram, np.eye(dim * dim)) <= ALGEBRA_TOL
 
 
-@pytest.mark.parametrize("kind", ["P", "unified", "Q"])
+@pytest.mark.parametrize("kind", ["unified", "Q"])
 def test_members_are_outer_products_of_image_vectors(kind):
     fam = projector_family(4, kind)
     for key, m in fam:
-        v = fam.image_vector(key)
+        v = image_vector(4, kind, key)
         assert max_abs_diff(m, np.outer(v, v.conj())) <= ALGEBRA_TOL
 
 
 def test_parity_requirements():
     with pytest.raises(DimensionError):
-        projector_family(3, "P")
+        projector_family(3, "Q")
     with pytest.raises(DimensionError):
         projector_family(5, "Q")
     with pytest.raises(DimensionError):
         projector_family(1, "unified")
-
-
-def test_family_export_schema():
-    fam = projector_family(2, "Q")
-    obj = fam.to_json()
-    assert obj["N"] == 2
-    assert obj["kind"] == "Q"
-    assert len(obj["members"]) == 4
-    first = obj["members"][0]
-    assert set(first) == {"i", "j", "epsilon", "matrix"}
-    assert first["epsilon"] in ("+", "-")
-    rebuilt = matrix_from_json(first["matrix"])
-    key = fam.keys[0]
-    assert np.array_equal(rebuilt, fam.matrices[key].astype(complex))
+    with pytest.raises(ValueError, match="unknown family kind 'P'"):
+        projector_family(4, "P")
