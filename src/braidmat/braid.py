@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     DomainError,
     ModeError,
+    SizeLimitError,
 )
 from .linalg import max_abs_diff
 from .projectors import ProjectorFamily, mirror_index, projector_family
@@ -42,6 +43,11 @@ MODES = ("real", "unitary")
 # exp(m*theta) must stay inside double range for |m| up to ~10
 MAX_REAL_THETA = 50.0
 
+# Largest side length N accepted anywhere.  A dense N^2 x N^2 complex128
+# matrix at N = 64 takes 268 MB, the same bound as linalg.MAX_KRON_DIM;
+# ``build`` and ``entangle`` allocate such a matrix.
+MAX_SIDE = 64
+
 _EPS_FROM_LABEL = {"+": +1, "-": -1, +1: +1, -1: -1, 1: +1}
 
 
@@ -50,6 +56,8 @@ def canonical_keys(dim: int) -> tuple[ParamKey, ...]:
     the pinned central class of odd dim."""
     if dim < 2:
         raise DimensionError("side length must be >= 2")
+    if dim > MAX_SIDE:
+        raise SizeLimitError(f"side length {dim} exceeds the limit {MAX_SIDE}")
     half = (dim + 1) // 2
     center = half if dim % 2 else None
     keys = []
@@ -254,7 +262,7 @@ class BraidFamily:
     @property
     def basis(self) -> ProjectorFamily:
         """The "unified" projector basis, built on first use and cached per
-        side length; ``matrix`` does not need it (N^6 floats)."""
+        side length; ``matrix`` does not need it (N^4 floats)."""
         return projector_family(self.dim, "unified")
 
     @property
@@ -295,32 +303,21 @@ class BraidFamily:
         antisymmetric one.  Real mode returns float64, unitary complex128.
         theta = 0 gives the identity for any parameters.
         """
-        diag, anti = self._coefficients(theta)
-        size = self.dim * self.dim
-        out = np.zeros((size, size), dtype=diag.dtype)
-        idx = np.arange(size)
-        out[idx, idx] += diag.ravel()
-        # (i~,j~) flattens to size-1-r; the odd central point lands on the
-        # diagonal where the two contributions add up to exp(0) = 1
-        out[idx, size - 1 - idx] += anti.ravel()
-        return out
+        return _pattern_matrix(*self._coefficients(theta))
 
     def matrix_from_basis(self, theta: float) -> np.ndarray:
-        """Same matrix, rebuilt as an explicit sum over basis projectors.
+        """Same matrix, rebuilt as the sum of c_k w_k v_k v_k^T over the
+        basis members, with c_k = exp(m*theta) or exp(i*m*theta) read at
+        the member's key.
 
-        Slower reference path used to cross-validate ``matrix``.
+        Independent reference path used to cross-validate ``matrix``.
         """
-        size = self.dim * self.dim
-        dtype = float if self.mode == "real" else complex
-        out = np.zeros((size, size), dtype=dtype)
-        for key, member in self.basis:
-            m = self.params.value(key.i, key.j, key.epsilon)
-            if self.mode == "real":
-                c = np.exp(m * theta)
-            else:
-                c = np.exp(1j * m * theta)
-            out = out + c * member
-        return out
+        basis = self.basis
+        i, j, epsilon = np.array(basis.keys).T
+        m = self.params.exponents[(1 - epsilon) // 2, i - 1, j - 1]
+        rates = m if self.mode == "real" else 1j * m
+        c = np.exp(rates * theta)
+        return (basis.vectors * (c * basis.weights)) @ basis.vectors.T
 
     def generator(self) -> np.ndarray:
         """Infinitesimal generator X with matrix(theta) = exp(theta * X).
@@ -331,14 +328,24 @@ class BraidFamily:
         """
         mp = self.params.exponents[0]
         mm = self.params.exponents[1]
-        size = self.dim * self.dim
-        x = np.zeros((size, size))
-        idx = np.arange(size)
-        x[idx, idx] += (0.5 * (mp + mm)).ravel()
-        x[idx, size - 1 - idx] += (0.5 * (mp - mm)).ravel()
+        x = _pattern_matrix(0.5 * (mp + mm), 0.5 * (mp - mm))
         if self.mode == "unitary":
             return 1j * x
         return x
+
+
+def _pattern_matrix(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """The dim^2 x dim^2 matrix with grid ``diag`` on the main diagonal and
+    grid ``anti`` on the main antidiagonal; the inverse of
+    ``pattern_grids``."""
+    size = diag.size
+    out = np.zeros((size, size), dtype=np.result_type(diag, anti))
+    idx = np.arange(size)
+    out[idx, idx] += diag.ravel()
+    # (i~,j~) flattens to size-1-r; the odd central point lands on the
+    # diagonal, where the two grid entries add up
+    out[idx, size - 1 - idx] += anti.ravel()
+    return out
 
 
 def pattern_grids(
@@ -451,16 +458,13 @@ def reference_residuals(n: int) -> Mapping[str, float]:
 @lru_cache(maxsize=None)
 def _reference_regrouping(n: int) -> tuple:
     fam = projector_family(2 * n, "Q")
-    size = (2 * n) ** 2
-    plus = np.zeros((size, size), dtype=complex)
-    minus = np.zeros((size, size), dtype=complex)
-    for key, member in fam:
-        if key.epsilon == +1:
-            plus = plus + member
-        else:
-            minus = minus + member
+    signs = np.array(fam.keys)[:, 2]
+    plus, minus = (
+        (fam.vectors[:, sel] * fam.weights[sel]) @ fam.vectors[:, sel].conj().T
+        for sel in (signs == +1, signs == -1)
+    )
     rot = -1j * (plus - minus)
-    eye = np.eye(size)
+    eye = np.eye(len(fam))
     checks = {
         "plus idempotent": max_abs_diff(plus @ plus, plus),
         "minus idempotent": max_abs_diff(minus @ minus, minus),

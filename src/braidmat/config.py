@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .braid import ParameterSet, make_parameters
+from .braid import MAX_SIDE, ParameterSet, make_parameters
 from .errors import ConfigError
 
 
@@ -37,6 +37,8 @@ class ReferenceConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"reference half-dimension must be >= 1, got {self.n}")
+        if 2 * self.n > MAX_SIDE:
+            raise ConfigError(f"reference side length {2 * self.n} exceeds {MAX_SIDE}")
 
 
 Config = Union[ParameterSet, ReferenceConfig]

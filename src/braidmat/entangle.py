@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braid import BraidFamily, ParameterSet, require_mode
+from .braid import BraidFamily, ParameterSet, canonical_keys, require_mode
 from .errors import AccuracyError
 from .linalg import schmidt_coefficients
 
@@ -155,7 +155,10 @@ def degenerate_classes(
     accidentally exceptional; an empty result certifies genericity.
     """
     flagged = []
-    for i, j in _canonical_ij(params):
+    # one (i, j) per canonical class; the odd-N centre is pinned and absent
+    for i, j, epsilon in canonical_keys(params.dim):
+        if epsilon == -1:
+            continue
         delta = params.value(i, j, +1) - params.value(i, j, -1)
         phase = abs(delta * theta) % (2.0 * math.pi)
         if min(phase, 2.0 * math.pi - phase) <= tol:
@@ -163,15 +166,6 @@ def degenerate_classes(
         elif abs(phase - math.pi) <= tol:
             flagged.append(((i, j), "swapped"))
     return flagged
-
-
-def _canonical_ij(params: ParameterSet):
-    half = (params.dim + 1) // 2
-    for i in range(1, half + 1):
-        for j in range(1, half + 1):
-            if params.dim % 2 and (i, j) == (half, half):
-                continue  # structurally pinned central class
-            yield i, j
 
 
 def detect_period(params: ParameterSet) -> PeriodResult:

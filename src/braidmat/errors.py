@@ -10,7 +10,7 @@ class DimensionError(BraidmatError, ValueError):
 
 
 class SizeLimitError(BraidmatError, ValueError):
-    """A tensor product would exceed the configured dimension cap."""
+    """A side length or tensor product would exceed its size cap."""
 
 
 class AccuracyError(BraidmatError, ValueError):

@@ -8,8 +8,10 @@ consists of rank-one projectors onto two-component combinations
     (|i,j> + s |i~,j~>) / sqrt(2),
 
 where i~, j~ are the mirrored indices and s is a sign or a phase, or
-onto the single state |i,j> at the self-mirrored centre of odd N.  Every
-member comes from one dyad builder; two kinds are provided:
+onto the single state |i,j> at the self-mirrored centre of odd N.  Such
+a projector is fixed by its image vector, so a family is stored as the
+matrix V of unnormalized image vectors (one column per member) and the
+weights w with member k = w[k] v_k v_k^dagger; two kinds are provided:
 
 * "unified" - sign combinations grouped by mirror orbit, real symmetric,
               for either parity (at even N this is the paper's 2n pair
@@ -18,7 +20,8 @@ member comes from one dyad builder; two kinds are provided:
               Hermitian with imaginary off-diagonal blocks, even N only.
 
 Each full family is complete (members sum to the identity), mutually
-orthogonal, idempotent, and unit-trace.  Indices are 1-based throughout.
+orthogonal, idempotent, and unit-trace; with W = diag(w) these read
+V W V^dagger = I and W V^dagger V W = W.  Indices are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -41,27 +44,6 @@ def mirror_index(i: int, dim: int) -> int:
     return dim + 1 - i
 
 
-def _pair_positions(i: int, j: int, dim: int) -> tuple[int, int]:
-    # 0-based positions of |i,j> and |i~,j~> in the product basis
-    return (i - 1) * dim + (j - 1), (mirror_index(i, dim) - 1) * dim + (
-        mirror_index(j, dim) - 1
-    )
-
-
-def _dyad(size: int, r: int, c: int, s: complex, dtype: type) -> np.ndarray:
-    """(|r> + s|c>)(<r| + conj(s)<c|)/2 for a unit-modulus s, or |r><r|
-    when r == c; entries are exactly 0, 1/2, s/2, conj(s)/2 and 1."""
-    m = np.zeros((size, size), dtype=dtype)
-    if r == c:
-        m[r, r] = 1.0
-        return m
-    m[r, r] = 0.5
-    m[c, c] = 0.5
-    m[r, c] = 0.5 * s.conjugate()
-    m[c, r] = 0.5 * s
-    return m
-
-
 class ProjectorKey(NamedTuple):
     i: int
     j: int
@@ -72,62 +54,53 @@ class ProjectorKey(NamedTuple):
 class ProjectorFamily:
     """A complete orthogonal family of rank-one projectors.
 
-    ``matrices`` maps each key to a read-only array of side dim^2.  The
-    member count is always dim^2: the family resolves the identity into
-    one-dimensional pieces.
+    Column k of the read-only ``vectors`` (dim^2 x dim^2) is the
+    unnormalized image vector of member ``keys[k]``: e_r + s e_c, or e_r
+    at the odd-N centre, so its entries are exactly 0, 1 and s.
+    ``weights[k]`` is its normalisation 1/|v_k|^2 (0.5, or 1.0 at the
+    centre).  Iteration yields each key with its member w_k v_k v_k^dagger,
+    built on demand as a dense array.  The member count is always dim^2:
+    the family resolves the identity into one-dimensional pieces.
     """
 
     dim: int
     kind: FamilyKind
     keys: tuple[ProjectorKey, ...]
-    matrices: dict[ProjectorKey, np.ndarray]
+    vectors: np.ndarray
+    weights: np.ndarray
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __iter__(self) -> Iterator[tuple[ProjectorKey, np.ndarray]]:
-        for key in self.keys:
-            yield key, self.matrices[key]
-
-    def completeness_sum(self) -> np.ndarray:
-        """Sum of all members; equals the identity up to rounding."""
-        total = np.zeros_like(next(iter(self.matrices.values())))
-        for key in self.keys:
-            total = total + self.matrices[key]
-        return total
+        for k, key in enumerate(self.keys):
+            v = self.vectors[:, k]
+            yield key, self.weights[k] * np.outer(v, v.conj())
 
 
-def orbit_representatives(dim: int) -> tuple[tuple[int, int], ...]:
-    """Canonical (i, j) per mirror orbit: the lexicographically smaller of
-    (i, j) and (i~, j~), sorted.  Even dim yields dim^2/2 orbits of size
-    two; odd dim adds the self-mirrored center."""
-    reps = set()
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            reps.add(min((i, j), (mirror_index(i, dim), mirror_index(j, dim))))
-    return tuple(sorted(reps))
-
-
-def _members(dim: int, kind: FamilyKind) -> Iterator[tuple[ProjectorKey, complex]]:
-    """Keys of the family in order, each with the coefficient s of the
-    mirrored state in its image vector |i,j> + s |i~,j~>."""
-    if kind == "unified":
-        for i, j in orbit_representatives(dim):
-            for epsilon in (+1, -1):
-                centre = (i, j) == (mirror_index(i, dim), mirror_index(j, dim))
-                if centre and epsilon == -1:
-                    continue  # the opposite-sign combination is the zero matrix
-                yield ProjectorKey(i, j, epsilon), epsilon
-    elif kind == "Q":
-        if dim % 2:
-            raise DimensionError(f"kind {kind!r} requires even side length, got {dim}")
-        for i in range(1, dim // 2 + 1):
-            for j in range(1, dim + 1):
-                for epsilon in (+1, -1):
-                    s = -epsilon * 1j * (-1.0) ** mirror_index(j, dim)
-                    yield ProjectorKey(i, j, epsilon), s
-    else:
+def _members(
+    dim: int, kind: FamilyKind
+) -> Iterator[tuple[ProjectorKey, int, complex]]:
+    """Keys of the family in order, each with the 0-based position r of
+    |i,j> and the coefficient s in its image vector |i,j> + s |i~,j~>
+    (|i~,j~> sits at position dim^2-1-r).  Both kinds run over the first
+    half of the product basis, where r is at most its mirror's position."""
+    if kind not in ("unified", "Q"):
         raise ValueError(f"unknown family kind {kind!r}")
+    if kind == "Q" and dim % 2:
+        raise DimensionError(f"kind {kind!r} requires even side length, got {dim}")
+    size = dim * dim
+    for r in range((size + 1) // 2):
+        i, j = divmod(r, dim)
+        for epsilon in (+1, -1):
+            if kind == "unified":
+                if r == size - 1 - r and epsilon == -1:
+                    continue  # the opposite-sign combination is the zero matrix
+                s = epsilon
+            else:
+                # (-1)^j~ with j~ = dim - j the 1-based mirrored column
+                s = -epsilon * 1j * (-1.0) ** (dim - j)
+            yield ProjectorKey(i + 1, j + 1, epsilon), r, s
 
 
 @lru_cache(maxsize=None)
@@ -147,13 +120,19 @@ def projector_family(dim: int, kind: FamilyKind) -> ProjectorFamily:
     """
     if dim < 2:
         raise DimensionError("side length must be >= 2")
-    dtype = complex if kind == "Q" else float
+    size = dim * dim
+    vectors = np.zeros((size, size), dtype=complex if kind == "Q" else float)
+    weights = np.ones(size)
     keys: list[ProjectorKey] = []
-    matrices: dict[ProjectorKey, np.ndarray] = {}
-    for key, s in _members(dim, kind):
-        r, c = _pair_positions(key.i, key.j, dim)
-        member = _dyad(dim * dim, r, c, s, dtype)
-        member.setflags(write=False)
+    for k, (key, r, s) in enumerate(_members(dim, kind)):
+        c = size - 1 - r
+        vectors[r, k] = 1.0
+        if r != c:
+            vectors[c, k] = s
+            weights[k] = 0.5
         keys.append(key)
-        matrices[key] = member
-    return ProjectorFamily(dim=dim, kind=kind, keys=tuple(keys), matrices=matrices)
+    vectors.setflags(write=False)
+    weights.setflags(write=False)
+    return ProjectorFamily(
+        dim=dim, kind=kind, keys=tuple(keys), vectors=vectors, weights=weights
+    )

@@ -348,41 +348,32 @@ def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[CheckResult]:
     """Idempotency, orthogonality, completeness, and trace for every
     projector family available at this side length.
 
-    Orthogonality multiplies only the pairs (a, b) whose supports meet
-    (a column of a carrying a nonzero that is a nonzero row of b); every
-    other product is exactly zero, so the residual equals that of the
-    full pairwise loop.
+    Members P_k = w_k v_k v_k^dagger give P_a P_b = PP_ab v_a v_b^dagger
+    with PP = W G W, G = V^dagger V and W = diag(w).  Every nonzero entry
+    of an image vector has modulus 1, so max|P_a P_b| = |PP_ab|, and the
+    residuals read off PP equal those of the member-level products.
     """
     kinds = ["unified"] + (["Q"] if dim % 2 == 0 else [])
     results = []
     for kind in kinds:
         fam = projector_family(dim, kind)
-        members = [fam.matrices[k] for k in fam.keys]
-        eye = np.eye(dim * dim)
-        idem = max(max_abs_diff(m @ m, m) for m in members)
-        row_owners: dict[int, list[int]] = {}
-        for b_idx, b in enumerate(members):
-            for row in np.flatnonzero(b.any(axis=1)):
-                row_owners.setdefault(row, []).append(b_idx)
-        orth = 0.0
-        for a_idx, a in enumerate(members):
-            partners = {
-                b_idx
-                for col in np.flatnonzero(a.any(axis=0))
-                for b_idx in row_owners.get(col, ())
-                if b_idx != a_idx
-            }
-            for b_idx in partners:
-                orth = max(orth, float(np.abs(a @ members[b_idx]).max()))
-        complete = max_abs_diff(fam.completeness_sum(), eye)
-        trace_dev = max(abs(complex(np.trace(m)) - 1.0) for m in members)
+        vectors, weights = fam.vectors, fam.weights
+        gram = vectors.conj().T @ vectors
+        pp = weights[:, None] * gram * weights[None, :]
+        pp_diag = pp.diagonal()
+        idem = float(np.abs(pp_diag - weights).max())
+        orth = float(np.abs(pp - np.diag(pp_diag)).max())
+        complete = max_abs_diff(
+            (vectors * weights) @ vectors.conj().T, np.eye(dim * dim)
+        )
+        trace_dev = float(np.abs(pp_diag / weights - 1.0).max())
         ctx = {"kind": kind, "members": len(fam)}
         results.append(CheckResult("projectors_idempotent", idem, tol, dict(ctx)))
         results.append(CheckResult("projectors_orthogonal", orth, tol, dict(ctx)))
         results.append(CheckResult("projectors_complete", complete, tol, dict(ctx)))
         results.append(CheckResult("projectors_unit_trace", trace_dev, tol, dict(ctx)))
         if kind == "Q":
-            herm = max(max_abs_diff(dagger(m), m) for m in members)
+            herm = max(float(np.abs(m - m.conj().T).max()) for _, m in fam)
             results.append(CheckResult("projectors_hermitian", herm, tol, dict(ctx)))
     return results
 
@@ -439,6 +430,8 @@ def run_suite(
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     if samples < 0:
         raise ConfigError("samples must be >= 0")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
     if isinstance(config, ReferenceConfig):
@@ -458,7 +451,9 @@ def run_suite(
         checks.extend(projector_checks(params.dim))
         if params.dim % 2 == 0:
             checks.extend(reference_checks(params.dim // 2))
-    for sample in range(samples + 1):
+    # with no per-sample check selected (suite "projectors") nothing is drawn
+    per_sample = run_braid or run_unitarity or run_fact or run_exp or run_comp
+    for sample in range(samples + 1 if per_sample else 0):
         draws = rng.uniform(-2.0, 2.0, size=len(keys))
         theta, theta_prime = rng.uniform(-1.0, 1.0, size=2)
         z1, z2 = rng.uniform(-0.9, 0.9, size=2)

@@ -147,6 +147,12 @@ def test_build_rejects_noncanonical_key(tmp_path, capsys):
     assert "canonical" in capsys.readouterr().err
 
 
+def test_build_rejects_side_length_over_the_limit(tmp_path, capsys):
+    config = write_config(tmp_path, braid_config(dim=65))
+    assert main(["build", "--config", config]) == 2
+    assert "side length 65 exceeds the limit 64" in capsys.readouterr().err
+
+
 def test_build_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -213,6 +219,14 @@ def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
     argv = ["verify", "--config", config, "--suite", "braid", "--samples", "2"]
     assert main(argv + ["--tol", tol]) == 2
     assert "tol must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-42"])
+def test_verify_negative_seed_exits_two(tmp_path, capsys, seed):
+    config = write_config(tmp_path, braid_config())
+    assert main(["verify", "--config", config, "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert f"seed must be a non-negative integer, got {seed}" in err
 
 
 def test_verify_unitarity_on_real_mode_exits_one(tmp_path):
@@ -354,6 +368,11 @@ def test_reference_rejects_nonpositive_n(capsys, n):
     assert main(["reference", "--n", n, "--z1", "0.5", "--z2", "0.5"]) == 2
     err = capsys.readouterr().err
     assert f"reference half-dimension must be >= 1, got {n}" in err
+
+
+def test_reference_rejects_side_length_over_the_limit(capsys):
+    assert main(["reference", "--n", "33", "--z1", "0.5", "--z2", "0.5"]) == 2
+    assert "reference side length 66 exceeds 64" in capsys.readouterr().err
 
 
 def test_reference_config_rejected_for_build(tmp_path, capsys):

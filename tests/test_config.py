@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from braidmat import ConfigError, make_parameters, parse_config
+from braidmat import (
+    ConfigError,
+    ReferenceConfig,
+    SizeLimitError,
+    make_parameters,
+    parse_config,
+)
+from braidmat.braid import MAX_SIDE
 from braidmat.cli import main
 
 
@@ -94,6 +101,15 @@ def test_missing_required_field(missing):
     del obj[missing]
     with pytest.raises(ConfigError, match=f"requires .*'{missing}'"):
         parse_config(obj)
+
+
+def test_side_length_limit():
+    assert make_parameters(MAX_SIDE, "real", {}).dim == 64 == MAX_SIDE
+    with pytest.raises(SizeLimitError, match="exceeds the limit 64"):
+        make_parameters(MAX_SIDE + 1, "real", {})
+    assert ReferenceConfig(MAX_SIDE // 2).n == 32
+    with pytest.raises(ConfigError, match="side length 66 exceeds 64"):
+        ReferenceConfig(MAX_SIDE // 2 + 1)
 
 
 def test_valid_config_still_parses():

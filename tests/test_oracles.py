@@ -2,18 +2,20 @@
 
 ``check_braid`` and the exchange half of ``check_exponential`` compare the
 two triple products column by column on at most four slots, and
-``projector_checks`` multiplies only the member pairs whose supports meet.
-The dense computations they replace live on here as oracles: the full
-N^3 x N^3 Kronecker products and the all-pairs orthogonality loop.  They
+``projector_checks`` reads the projector algebra off the Gram matrix of
+the family's image vectors.  The dense computations they replace live on
+here as oracles: the full N^3 x N^3 Kronecker products and the
+member-level products, including the all-pairs orthogonality loop.  They
 are compared with the structured kernels on random draws, symmetry
 overrides, and negative controls, so the fast paths never check
 themselves.
 
-Every projector family member comes from one dyad builder.  The per-kind
-index formulas of the paper (elementary half-terms, the even-N pair
-projectors, the phased projectors, their image vectors, the even-form
-pair sum and the phase-form reference matrix) are written out here from
-the index data alone, never through that builder, and pin it.
+Every projector family member is built from its image vector and weight.
+The per-kind index formulas of the paper (elementary half-terms, the
+even-N pair projectors, the phased projectors, their image vectors, the
+even-form pair sum and the phase-form reference matrix) are written out
+here from the index data alone, never through the family builder, and
+pin it.
 """
 
 import numpy as np
@@ -60,6 +62,39 @@ def pairwise_orthogonality(members):
             if a_idx != b_idx:
                 orth = max(orth, float(np.abs(a @ b).max()))
     return orth
+
+
+def member_level_residuals(family):
+    """The four projector residuals of ``family`` from its dense members:
+    m @ m against m, a @ b over distinct pairs, the member sum against
+    the identity, and trace(m) against 1."""
+    members = [m for _, m in family]
+    return {
+        "projectors_idempotent": max(float(np.abs(m @ m - m).max()) for m in members),
+        "projectors_orthogonal": pairwise_orthogonality(members),
+        "projectors_complete": float(
+            np.abs(sum(members) - np.eye(family.dim**2)).max()
+        ),
+        "projectors_unit_trace": max(
+            abs(complex(np.trace(m)) - 1.0) for m in members
+        ),
+    }
+
+
+def gram_residuals(monkeypatch, family):
+    """``projector_checks`` residuals by name, with ``family`` standing in
+    for the library family of its kind."""
+    original = verify.projector_family
+    monkeypatch.setattr(
+        verify,
+        "projector_family",
+        lambda d, k: family if k == family.kind else original(d, k),
+    )
+    return {
+        c.name: c.residual
+        for c in projector_checks(family.dim)
+        if c.context["kind"] == family.kind
+    }
 
 
 def random_family(dim, mode, rng, overrides=0):
@@ -272,42 +307,43 @@ def test_check_braid_refuses_an_off_pattern_entry(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
-def test_support_pruned_orthogonality_matches_pairwise_oracle(dim):
+def test_gram_residuals_match_the_member_level_oracle(dim):
     results = projector_checks(dim)
-    orth = {
-        c.context["kind"]: c.residual
-        for c in results
-        if c.name == "projectors_orthogonal"
-    }
-    for kind, residual in orth.items():
-        fam = verify.projector_family(dim, kind)
-        assert residual == pairwise_orthogonality([fam.matrices[k] for k in fam.keys])
+    for kind in {c.context["kind"] for c in results}:
+        expected = member_level_residuals(verify.projector_family(dim, kind))
+        for c in results:
+            if c.context["kind"] == kind and c.name in expected:
+                assert c.residual == expected[c.name]
     assert all(c.residual == 0.0 for c in results)
 
 
 @pytest.mark.parametrize("kind", ["unified", "Q"])
 def test_overlapping_member_fails_pruned_and_pairwise(monkeypatch, kind):
-    dim = 4
-    clean = verify.projector_family(dim, kind)
-    first, other = clean.keys[0], clean.keys[5]
-    # couple the first member to the support of an unrelated member
-    col = int(np.flatnonzero(clean.matrices[other].any(axis=1))[0])
-    broken = dict(clean.matrices)
-    broken[first] = clean.matrices[first].copy()
-    broken[first][np.flatnonzero(clean.matrices[first].any(axis=0))[0], col] = 0.25
-    family = ProjectorFamily(dim=dim, kind=kind, keys=clean.keys, matrices=broken)
-    original = verify.projector_family
-    monkeypatch.setattr(
-        verify, "projector_family", lambda d, k: family if k == kind else original(d, k)
-    )
-    members = [broken[k] for k in clean.keys]
-    assert pairwise_orthogonality(members) > PROJECTOR_TOL
-    orth = [
-        c.residual
-        for c in projector_checks(dim)
-        if c.name == "projectors_orthogonal" and c.context["kind"] == kind
-    ]
-    assert orth == [pairwise_orthogonality(members)]
+    clean = verify.projector_family(4, kind)
+    # couple the first image vector into the orbit of an unrelated member
+    vectors = clean.vectors.copy()
+    other_row = int(np.flatnonzero(clean.vectors[:, 5])[0])
+    assert vectors[other_row, 0] == 0
+    vectors[other_row, 0] = 1.0
+    broken = ProjectorFamily(4, kind, clean.keys, vectors, clean.weights)
+    expected = member_level_residuals(broken)
+    assert expected["projectors_orthogonal"] > PROJECTOR_TOL
+    got = gram_residuals(monkeypatch, broken)
+    assert {name: got[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("kind", ["unified", "Q"])
+def test_wrong_weight_fails_gram_and_member_checks(monkeypatch, kind):
+    clean = verify.projector_family(4, kind)
+    weights = clean.weights.copy()
+    assert weights[0] == 0.5  # a pair member
+    weights[0] = 1.0
+    broken = ProjectorFamily(4, kind, clean.keys, clean.vectors, weights)
+    expected = member_level_residuals(broken)
+    got = gram_residuals(monkeypatch, broken)
+    assert expected["projectors_idempotent"] > PROJECTOR_TOL
+    assert expected["projectors_unit_trace"] > PROJECTOR_TOL
+    assert {name: got[name] for name in expected} == expected
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from braidmat import verify
 from braidmat import (
     BraidFamily,
     CheckResult,
@@ -244,6 +245,23 @@ def test_run_suite_seed_changes_draws():
     first = run_suite(braid_config(4, "real"), suite="braid", samples=2, seed=1)
     second = run_suite(braid_config(4, "real"), suite="braid", samples=2, seed=2)
     assert json.dumps(first.to_json()) != json.dumps(second.to_json())
+
+
+def test_run_suite_projectors_draws_no_samples(monkeypatch):
+    # no per-sample check runs under "projectors", so nothing is drawn
+    calls = []
+    original = verify.make_parameters
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "make_parameters", counting)
+    config = braid_config(4, "unitary")
+    report = run_suite(config, suite="projectors", samples=50)
+    assert calls == []
+    expected = run_suite(config, suite="projectors", samples=0)
+    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
 
 
 def test_run_suite_braid_dim8():
