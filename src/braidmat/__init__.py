@@ -40,7 +40,6 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import (
-    dagger,
     kron,
     matrix_exponential,
     matrix_from_json,
@@ -96,7 +95,6 @@ __all__ = [
     "check_exponential",
     "check_factorization",
     "check_unitarity",
-    "dagger",
     "degenerate_classes",
     "detect_period",
     "exceptional_scan",

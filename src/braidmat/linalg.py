@@ -3,11 +3,10 @@
 Matrices are plain 2-D numpy arrays (square, float64 or complex128) and
 vectors are 1-D arrays.  All functions are pure: inputs are never mutated
 and results are freshly allocated, so values can be shared freely between
-threads.  These kernels serve the two-qudit space (N^2 x N^2); the
-braid and exponential checks never form the N^3 x N^3 triple space
-densely but work on the diagonal/antidiagonal structure instead (see
-``verify.exchange_residual``), and ``kron`` remains for callers and
-tests that want explicit tensor products.
+threads.  The per-sample checks in ``verify`` form no dense matrix: they
+read the coefficient grids and their 2x2 orbit blocks (see
+``braid.orbit_blocks``), and exponentiate a stack of blocks.  ``kron``
+remains for callers and tests that want explicit tensor products.
 """
 
 from __future__ import annotations
@@ -70,11 +69,6 @@ def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarra
     return np.kron(a, b)
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose, returned as a fresh contiguous array."""
-    return np.ascontiguousarray(as_matrix(a).conj().T)
-
-
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Largest entrywise absolute difference between two matrices."""
     a = as_matrix(a)
@@ -91,10 +85,15 @@ def matrix_exponential(a: np.ndarray, max_norm: float = MAX_EXP_NORM) -> np.ndar
     0.5, the series is summed by Horner's rule, and the result is squared
     back up.  Backward error stays around 1e-12 (relative, max-norm) for
     1-norms up to ``max_norm``; larger inputs raise AccuracyError rather
-    than silently degrade.
+    than silently degrade.  A stack (..., n, n) is scaled as one, by the
+    largest 1-norm of its matrices.
     """
-    a = as_matrix(a)
-    norm = float(np.abs(a).sum(axis=0).max())
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise DimensionError(f"expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    norm = float(np.abs(a).sum(axis=-2).max())
     if norm > max_norm:
         raise AccuracyError(
             f"matrix 1-norm {norm:.3g} exceeds {max_norm:.3g}; "
@@ -103,9 +102,9 @@ def matrix_exponential(a: np.ndarray, max_norm: float = MAX_EXP_NORM) -> np.ndar
     squarings = 0
     if norm > _EXP_SCALE_TARGET:
         squarings = int(math.ceil(math.log2(norm / _EXP_SCALE_TARGET)))
-    eye = np.eye(a.shape[0], dtype=np.result_type(a.dtype, np.float64))
+    eye = np.eye(a.shape[-1], dtype=np.result_type(a.dtype, np.float64))
     scaled = (a / (2.0 ** squarings)).astype(eye.dtype)
-    out = eye.copy()
+    out = np.broadcast_to(eye, a.shape).copy()
     for k in range(_EXP_TAYLOR_TERMS, 0, -1):
         out = eye + (scaled @ out) / k
     for _ in range(squarings):

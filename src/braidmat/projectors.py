@@ -58,9 +58,9 @@ class ProjectorFamily:
     unnormalized image vector of member ``keys[k]``: e_r + s e_c, or e_r
     at the odd-N centre, so its entries are exactly 0, 1 and s.
     ``weights[k]`` is its normalisation 1/|v_k|^2 (0.5, or 1.0 at the
-    centre).  Iteration yields each key with its member w_k v_k v_k^dagger,
-    built on demand as a dense array.  The member count is always dim^2:
-    the family resolves the identity into one-dimensional pieces.
+    centre), so member k is w_k v_k v_k^dagger; no member is stored.  The
+    member count is always dim^2: the family resolves the identity into
+    one-dimensional pieces.
     """
 
     dim: int
@@ -71,11 +71,6 @@ class ProjectorFamily:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def __iter__(self) -> Iterator[tuple[ProjectorKey, np.ndarray]]:
-        for k, key in enumerate(self.keys):
-            v = self.vectors[:, k]
-            yield key, self.weights[k] * np.outer(v, v.conj())
 
 
 def _members(

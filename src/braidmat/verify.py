@@ -22,9 +22,10 @@ import numpy as np
 from .braid import (
     BraidFamily,
     ParameterSet,
+    block_grids,
     canonical_keys,
     make_parameters,
-    pattern_grids,
+    orbit_blocks,
     reference_matrix,
     reference_residuals,
     require_mode,
@@ -34,13 +35,12 @@ from .errors import (
     AccuracyError,
     BraidmatError,
     ConfigError,
-    ConstructionError,
     DimensionError,
     DomainError,
 )
 # kron is unused here but stays a module attribute: span tracers wrap
 # ``verify.kron``.
-from .linalg import dagger, kron, matrix_exponential, max_abs_diff  # noqa: F401
+from .linalg import kron, matrix_exponential, max_abs_diff  # noqa: F401
 from .projectors import projector_family
 
 SUITES = (
@@ -68,9 +68,9 @@ REFERENCE_GENERATOR_TOL = 1e-13
 def normalized_residual(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| scaled by max(1, |a|_max, |b|_max).
 
-    ``a`` and ``b`` are two matrices, or the merged slot arrays of two
-    triple products (see ``exchange_residual``); either way they must
-    have the same shape and finite entries.
+    ``a`` and ``b`` are two matrices, two stacks of orbit blocks, or the
+    merged slot arrays of two triple products (see ``exchange_residual``);
+    either way they must have the same shape and finite entries.
     """
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -89,20 +89,6 @@ _SLOT_FLIPS = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
 # (factor axes, slot reached from each slot by one more flip of that pair)
 _R12 = ((0, 1), [1, 0, 3, 2])
 _R23 = ((1, 2), [2, 3, 0, 1])
-
-
-def _braid_grids(matrix: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, antidiagonal) grids of a matrix that must lie exactly in
-    the braid pattern; an off-pattern entry raises instead of being
-    dropped."""
-    diag, anti, off_pattern = pattern_grids(matrix, dim)
-    if off_pattern != 0.0:
-        raise ConstructionError(
-            f"matrix has an entry of magnitude {off_pattern:.3g} off the "
-            "diagonal/antidiagonal pattern; the structured triple product "
-            "does not apply"
-        )
-    return diag, anti
 
 
 def _on_slots(grid: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
@@ -156,22 +142,25 @@ def _merge_coincident(slots: np.ndarray, dim: int) -> np.ndarray:
     return merged
 
 
-def exchange_residual(
-    r_t: np.ndarray, r_s: np.ndarray, r_p: np.ndarray, dim: int
-) -> float:
-    """Normalized residual of R12(t) R23(s) R12(t') against
-    R23(t') R12(s) R23(t), given R(t), R(s) and R(t') in the braid pattern.
+def exchange_residual(t: tuple, s: tuple, p: tuple) -> float:
+    """Normalized residual of R12(t) R23(s) R12(t') against R23(t') R12(s)
+    R23(t), given the (diagonal, antidiagonal) grids of R(t), R(s), R(t').
 
     Each column of either side has at most four nonzero entries (the
     slots), so the comparison costs O(N^3) instead of the O(N^9) of dense
     (N^3 x N^3) products, and gives the same residual up to rounding.
     """
-    t, s, p = (_braid_grids(m, dim) for m in (r_t, r_s, r_p))
+    dim = len(t[0])
     lhs = _triple_slots([(_R12, p), (_R23, s), (_R12, t)], dim)
     rhs = _triple_slots([(_R23, t), (_R12, s), (_R23, p)], dim)
     if dim % 2:
         lhs, rhs = _merge_coincident(lhs, dim), _merge_coincident(rhs, dim)
     return normalized_residual(lhs, rhs)
+
+
+def _blocks(family: BraidFamily, theta: float) -> np.ndarray:
+    """Orbit blocks of the braid matrix at theta (see ``orbit_blocks``)."""
+    return orbit_blocks(*family.grids(theta))
 
 
 @dataclass(frozen=True)
@@ -231,15 +220,13 @@ def check_braid(
 
     Compares R12(t) R23(t+t') R12(t') against R23(t') R12(t+t') R23(t),
     where R12 = R (x) I and R23 = I (x) R, column by column on the
-    structured triple product (see ``exchange_residual``).  A built
-    matrix with an entry off the braid pattern raises ConstructionError.
+    structured triple product of the coefficient grids (see
+    ``exchange_residual``).
     """
-    r_t = family.matrix(theta)
-    r_s = family.matrix(theta + theta_prime)
-    r_p = family.matrix(theta_prime)
+    grids = (family.grids(x) for x in (theta, theta + theta_prime, theta_prime))
     return CheckResult(
         name="braid",
-        residual=exchange_residual(r_t, r_s, r_p, family.dim),
+        residual=exchange_residual(*grids),
         tolerance=tol,
         context={"theta": theta, "theta_prime": theta_prime},
     )
@@ -248,18 +235,19 @@ def check_braid(
 def check_unitarity(
     family: BraidFamily, theta: float, tol: float = 1e-12
 ) -> CheckResult:
-    """dagger(R) @ R = I, plus dagger(R(theta)) = R(-theta) in context.
+    """dagger(R) @ R = I, plus dagger(R(theta)) = R(-theta) in context,
+    on the orbit blocks.
 
     Only meaningful (and only permitted) in unitary mode; real mode raises
     ModeError since the family is then deliberately nonunitary.
     """
     require_mode(family, "unitary")
-    r = family.matrix(theta)
-    eye = np.eye(r.shape[0])
-    reversal = max_abs_diff(dagger(r), family.matrix(-theta))
+    r = _blocks(family, theta)
+    r_dagger = r.conj().swapaxes(-1, -2)
+    reversal = float(np.abs(r_dagger - _blocks(family, -theta)).max())
     return CheckResult(
         name="unitarity",
-        residual=normalized_residual(dagger(r) @ r, eye),
+        residual=normalized_residual(r_dagger @ r, np.broadcast_to(np.eye(2), r.shape)),
         tolerance=tol,
         context={"theta": theta, "theta_reversal_residual": reversal},
     )
@@ -268,13 +256,14 @@ def check_unitarity(
 def check_factorization(
     family: BraidFamily, theta1: float, theta2: float, tol: float = 1e-11
 ) -> CheckResult:
-    """Additivity R(t1 +/- t2) = R(t1) @ R(+/-t2) and inversion by sign flip."""
-    r1 = family.matrix(theta1)
-    r2 = family.matrix(theta2)
-    r2_inv = family.matrix(-theta2)
-    eye = np.eye(r1.shape[0])
-    plus = normalized_residual(family.matrix(theta1 + theta2), r1 @ r2)
-    minus = normalized_residual(family.matrix(theta1 - theta2), r1 @ r2_inv)
+    """Additivity R(t1 +/- t2) = R(t1) @ R(+/-t2) and inversion by sign
+    flip, on the orbit blocks."""
+    r1 = _blocks(family, theta1)
+    r2 = _blocks(family, theta2)
+    r2_inv = _blocks(family, -theta2)
+    eye = np.broadcast_to(np.eye(2), r1.shape)
+    plus = normalized_residual(_blocks(family, theta1 + theta2), r1 @ r2)
+    minus = normalized_residual(_blocks(family, theta1 - theta2), r1 @ r2_inv)
     inverse = normalized_residual(r2 @ r2_inv, eye)
     return CheckResult(
         name="factorization",
@@ -296,20 +285,19 @@ def check_exponential(
     """Generator form: built matrix vs exp(theta * X), and the exchange
     identity rerun on the exponential-form matrices.
 
-    The second part substitutes E(x) = exp(x*X) for the built matrices at
-    (theta, theta/2) and recomputes the triple-product residual, using
-    exp(x * X (x) I) = exp(x*X) (x) I to stay on the small space.  The
-    exponentials are dense and independent of ``matrix``; they lie exactly
-    in the braid pattern because products of pattern matrices keep its
-    zeros, so the structured triple product applies to them too.
+    E(x) = exp(x*X) is the stack of exponentials of the 2x2 orbit blocks
+    of X, summed by the Taylor kernel of ``matrix_exponential``,
+    independent of the closed form of ``grids``.  The second part
+    substitutes E for the built matrices at (theta, theta/2) and reruns
+    the triple product on its grids, using exp(x * X (x) I) = E(x) (x) I.
     """
-    x = family.generator()
+    x = orbit_blocks(*family.generator())
     e_t = matrix_exponential(theta * x)
-    direct = normalized_residual(family.matrix(theta), e_t)
+    direct = normalized_residual(_blocks(family, theta), e_t)
     half = theta / 2.0
     e_h = matrix_exponential(half * x)
     e_s = matrix_exponential((theta + half) * x)
-    exchange = exchange_residual(e_t, e_s, e_h, family.dim)
+    exchange = exchange_residual(*(block_grids(e, family.dim) for e in (e_t, e_s, e_h)))
     return CheckResult(
         name="exponential",
         residual=max(direct, exchange),
@@ -373,7 +361,8 @@ def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[CheckResult]:
         results.append(CheckResult("projectors_complete", complete, tol, dict(ctx)))
         results.append(CheckResult("projectors_unit_trace", trace_dev, tol, dict(ctx)))
         if kind == "Q":
-            herm = max(float(np.abs(m - m.conj().T).max()) for _, m in fam)
+            # member w v v^dagger with max|v| = 1 misses Hermiticity by 2|Im w|
+            herm = 2 * float(np.abs(weights.imag).max())
             results.append(CheckResult("projectors_hermitian", herm, tol, dict(ctx)))
     return results
 

@@ -10,7 +10,6 @@ from braidmat import (
     DomainError,
     block_structure,
     canonical_keys,
-    dagger,
     free_parameter_count,
     make_parameters,
     matrix_exponential,
@@ -19,7 +18,13 @@ from braidmat import (
     reference_projectors,
 )
 from braidmat import braid
-from test_oracles import even_form_matrix, reference_phase_matrix
+from test_oracles import (
+    dagger,
+    dense_generator,
+    even_form_matrix,
+    members,
+    reference_phase_matrix,
+)
 
 PATH_TOL = 1e-14
 
@@ -296,20 +301,23 @@ def test_block_structure_flags_asymmetry():
 
 def test_generator_dim2_antidiagonal():
     params = make_parameters(2, "real", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
-    x = BraidFamily.create(params).generator()
+    diag, anti = BraidFamily.create(params).generator()
+    assert np.array_equal(diag, np.zeros((2, 2)))
+    assert np.array_equal(anti, np.ones((2, 2)))
+    x = dense_generator(BraidFamily.create(params))
     assert np.array_equal(x, np.fliplr(np.eye(4)))
     assert np.array_equal(x @ x, np.eye(4))
 
 
 def test_generator_zero_params():
-    x = BraidFamily.create(make_parameters(3, "real", {})).generator()
+    x = dense_generator(BraidFamily.create(make_parameters(3, "real", {})))
     assert np.array_equal(x, np.zeros((9, 9)))
 
 
 def test_generator_mode_structure():
-    real_gen = BraidFamily.create(random_params(4, "real", 9)).generator()
+    real_gen = dense_generator(BraidFamily.create(random_params(4, "real", 9)))
     assert real_gen.dtype == np.float64
-    unitary_gen = BraidFamily.create(random_params(4, "unitary", 9)).generator()
+    unitary_gen = dense_generator(BraidFamily.create(random_params(4, "unitary", 9)))
     assert np.array_equal(dagger(unitary_gen), -unitary_gen)
 
 
@@ -318,12 +326,12 @@ def test_generator_power_identity(dim):
     # X^k equals the sum of k-th exponent powers times the projectors
     params = random_params(dim, "real", 40 + dim)
     family = BraidFamily.create(params)
-    x = family.generator()
+    x = dense_generator(family)
     power = np.eye(dim * dim)
     for k in range(1, 6):
         power = power @ x
         expected = np.zeros((dim * dim, dim * dim))
-        for key, member in family.basis:
+        for key, member in members(family.basis):
             expected = expected + params.value(key.i, key.j, key.epsilon) ** k * member
         assert max_abs_diff(power, expected) <= 1e-12
 
@@ -333,7 +341,7 @@ def test_exponential_of_generator_reproduces_family(mode):
     for dim in (2, 3, 4):
         params = random_params(dim, mode, 50 + dim, low=-1.5, high=1.5)
         family = BraidFamily.create(params)
-        x = family.generator()
+        x = dense_generator(family)
         for theta in (-3.3, 0.4, 2.0):
             built = family.matrix(theta)
             scale = max(1.0, float(np.abs(built).max()))

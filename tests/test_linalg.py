@@ -8,7 +8,6 @@ from braidmat import (
     BraidFamily,
     DimensionError,
     SizeLimitError,
-    dagger,
     kron,
     make_parameters,
     matrix_exponential,
@@ -17,6 +16,7 @@ from braidmat import (
     max_abs_diff,
     schmidt_coefficients,
 )
+from test_oracles import dagger, dense_generator
 
 
 def series_exp(a, terms=80):
@@ -81,6 +81,7 @@ def test_kron_mixed_product_property():
 
 
 # ---------------------------------------------------------------- dagger
+# the dense adjoint oracle of test_oracles.py (the library works on blocks)
 
 
 def test_dagger_identity():
@@ -163,7 +164,7 @@ def test_exp_of_generator_matches_direct_build():
     params = make_parameters(2, "real", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
     family = BraidFamily.create(params)
     theta = 0.85
-    x = family.generator()
+    x = dense_generator(family)
     assert max_abs_diff(matrix_exponential(theta * x), family.matrix(theta)) < 1e-10
 
 

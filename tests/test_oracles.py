@@ -1,14 +1,17 @@
 """Independent oracles for the structured kernels and the projector builder.
 
 ``check_braid`` and the exchange half of ``check_exponential`` compare the
-two triple products column by column on at most four slots, and
-``projector_checks`` reads the projector algebra off the Gram matrix of
-the family's image vectors.  The dense computations they replace live on
-here as oracles: the full N^3 x N^3 Kronecker products and the
-member-level products, including the all-pairs orthogonality loop.  They
-are compared with the structured kernels on random draws, symmetry
-overrides, and negative controls, so the fast paths never check
-themselves.
+two triple products column by column on at most four slots of the
+coefficient grids; ``check_unitarity``, ``check_factorization`` and the
+build-vs-exp half of ``check_exponential`` multiply and exponentiate the
+2x2 orbit blocks; ``projector_checks`` reads the projector algebra off
+the Gram matrix of the family's image vectors and the Hermitian check off
+the weights.  The dense computations they replace live on here as
+oracles: the full N^3 x N^3 Kronecker products, dense N^2 x N^2 products,
+adjoints and exponentials, and the member-level products, including the
+all-pairs orthogonality loop.  They are compared with the structured
+kernels on random draws, symmetry overrides, and negative controls, so
+the fast paths never check themselves.
 
 Every projector family member is built from its image vector and weight.
 The per-kind index formulas of the paper (elementary half-terms, the
@@ -23,26 +26,52 @@ import pytest
 
 from braidmat import (
     BraidFamily,
-    ConstructionError,
     ProjectorFamily,
     canonical_keys,
     check_braid,
     check_exponential,
+    check_factorization,
+    check_unitarity,
     kron,
     make_parameters,
     matrix_exponential,
+    max_abs_diff,
     normalized_residual,
     projector_checks,
     projector_family,
-    run_suite,
 )
 from braidmat import verify
+from braidmat.braid import _pattern_matrix, orbit_blocks, pattern_grids
 from braidmat.linalg import MAX_EXP_NORM
 from braidmat.verify import PROJECTOR_TOL, exchange_residual
 
 # Structured and dense residuals sum the same few products in another
 # order; residuals are normalized to a scale of at least 1.
 ORACLE_TOL = 8 * np.finfo(float).eps
+
+
+def dagger(a):
+    """Dense conjugate transpose, the oracle for the block adjoint."""
+    return np.ascontiguousarray(np.asarray(a).conj().T)
+
+
+def members(family):
+    """Each key of ``family`` with its dense member w_k v_k v_k^dagger."""
+    for k, key in enumerate(family.keys):
+        v = family.vectors[:, k]
+        yield key, family.weights[k] * np.outer(v, v.conj())
+
+
+def dense_generator(family):
+    """The generator X as a dense N^2 x N^2 matrix."""
+    return _pattern_matrix(*family.generator())
+
+
+def dense_grids(matrix, dim):
+    """(diagonal, antidiagonal) grids of a dense matrix in the pattern."""
+    diag, anti, off_pattern = pattern_grids(matrix, dim)
+    assert off_pattern == 0.0
+    return diag, anti
 
 
 def dense_exchange_residual(r_t, r_s, r_p, dim):
@@ -68,15 +97,15 @@ def member_level_residuals(family):
     """The four projector residuals of ``family`` from its dense members:
     m @ m against m, a @ b over distinct pairs, the member sum against
     the identity, and trace(m) against 1."""
-    members = [m for _, m in family]
+    dense = [m for _, m in members(family)]
     return {
-        "projectors_idempotent": max(float(np.abs(m @ m - m).max()) for m in members),
-        "projectors_orthogonal": pairwise_orthogonality(members),
+        "projectors_idempotent": max(float(np.abs(m @ m - m).max()) for m in dense),
+        "projectors_orthogonal": pairwise_orthogonality(dense),
         "projectors_complete": float(
-            np.abs(sum(members) - np.eye(family.dim**2)).max()
+            np.abs(sum(dense) - np.eye(family.dim**2)).max()
         ),
         "projectors_unit_trace": max(
-            abs(complex(np.trace(m)) - 1.0) for m in members
+            abs(complex(np.trace(m)) - 1.0) for m in dense
         ),
     }
 
@@ -97,9 +126,10 @@ def gram_residuals(monkeypatch, family):
     }
 
 
-def random_family(dim, mode, rng, overrides=0):
+def random_family(dim, mode, rng, overrides=0, centre=False):
     """Random canonical values, plus ``overrides`` random raw grid patches
-    (any index, the odd-N centre included) that break mirror symmetry."""
+    (any index, the odd-N centre included) that break mirror symmetry, and
+    with ``centre`` one more patch on the odd-N centre."""
     keys = canonical_keys(dim)
     values = dict(zip(keys, rng.uniform(-2, 2, len(keys))))
     patches = tuple(
@@ -111,6 +141,9 @@ def random_family(dim, mode, rng, overrides=0):
         )
         for _ in range(overrides)
     )
+    if centre:
+        mid = (dim + 1) // 2
+        patches += ((mid, mid, int(rng.choice([1, -1])), float(rng.uniform(-2, 2))),)
     return BraidFamily.create(make_parameters(dim, mode, values, overrides=patches))
 
 
@@ -252,7 +285,7 @@ def test_structured_exchange_matches_dense_oracle(dim, mode):
         assert braid.passed == (expected <= braid.tolerance)
 
         exponential = check_exponential(family, theta)
-        x = family.generator()
+        x = dense_generator(family)
         e_t, e_h, e_s = (
             matrix_exponential(c * x) for c in (theta, theta / 2, 1.5 * theta)
         )
@@ -279,28 +312,89 @@ def test_negative_controls_fail_structured_and_dense(dim, mode):
     assert dense > structured.tolerance
     assert abs(structured.residual - dense) <= ORACLE_TOL
 
-    x = family.generator()
+    x = dense_generator(family)
     exps = [matrix_exponential(c * x) for c in (theta, 1.5 * theta, theta / 2)]
-    assert exchange_residual(*exps, dim) > 1e-6
-    assert dense_exchange_residual(*exps, dim) > 1e-6
-    assert not check_exponential(family, theta).passed
+    assert exchange_residual(*(dense_grids(e, dim) for e in exps)) > 1e-6
+    dense = dense_exchange_residual(*exps, dim)
+    assert dense > 1e-6
+    exponential = check_exponential(family, theta)
+    assert not exponential.passed
+    assert abs(exponential.context["exp_exchange_residual"] - dense) <= ORACLE_TOL
 
 
-def test_check_braid_refuses_an_off_pattern_entry(monkeypatch):
-    family = random_family(4, "unitary", np.random.default_rng(7))
-    built = BraidFamily.matrix
+def test_built_matrices_lie_exactly_in_the_pattern():
+    # the checks read the grids only, so every entry of ``matrix`` off
+    # the diagonal/antidiagonal pattern must be exactly zero
+    rng = np.random.default_rng(3000)
+    for dim in (2, 3, 4, 5, 6, 7):
+        for mode in ("real", "unitary"):
+            for overrides in (0, 1, 2, 3):
+                family = random_family(dim, mode, rng, overrides, overrides == 3)
+                built = family.matrix(rng.uniform(-1, 1))
+                diag, anti, off_pattern = pattern_grids(built, dim)
+                assert off_pattern == 0.0
+                assert np.array_equal(_pattern_matrix(diag, anti), built)
 
-    def with_stray_entry(self, theta):
-        m = built(self, theta).copy()
-        m[0, 1] += 1e-300  # far below any tolerance, yet never dropped
-        return m
 
-    monkeypatch.setattr(BraidFamily, "matrix", with_stray_entry)
-    with pytest.raises(ConstructionError, match="off the diagonal/antidiagonal"):
-        check_braid(family, 0.3, 0.2)
-    report = run_suite(family.params, suite="braid", samples=1)
-    assert not report.passed
-    assert all("off the diagonal" in c.context["error"] for c in report.checks)
+# ------------------------------------------------------------ orbit blocks
+
+
+def dense_block_residuals(family, theta, theta2):
+    """Unitarity, theta reversal, factorization and build-vs-exp residuals
+    from dense N^2 x N^2 products, adjoints and exponentials."""
+    r = family.matrix
+    eye = np.eye(family.dim**2)
+    residuals = {
+        "plus_residual": normalized_residual(r(theta + theta2), r(theta) @ r(theta2)),
+        "minus_residual": normalized_residual(
+            r(theta - theta2), r(theta) @ r(-theta2)
+        ),
+        "inverse_residual": normalized_residual(r(theta2) @ r(-theta2), eye),
+        "build_vs_exp_residual": normalized_residual(
+            r(theta), matrix_exponential(theta * dense_generator(family))
+        ),
+    }
+    if family.mode == "unitary":
+        residuals["unitarity"] = normalized_residual(dagger(r(theta)) @ r(theta), eye)
+        residuals["theta_reversal_residual"] = max_abs_diff(
+            dagger(r(theta)), r(-theta)
+        )
+    return residuals
+
+
+def block_residuals(family, theta, theta2):
+    """The same residuals as ``dense_block_residuals``, from the checks."""
+    fact = check_factorization(family, theta, theta2)
+    exponential = check_exponential(family, theta)
+    residuals = {
+        name: fact.context[name]
+        for name in ("plus_residual", "minus_residual", "inverse_residual")
+    }
+    residuals["build_vs_exp_residual"] = exponential.context["build_vs_exp_residual"]
+    if family.mode == "unitary":
+        unitarity = check_unitarity(family, theta)
+        residuals["unitarity"] = unitarity.residual
+        residuals["theta_reversal_residual"] = unitarity.context[
+            "theta_reversal_residual"
+        ]
+    return residuals
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("mode", ["real", "unitary"])
+def test_block_checks_match_dense_oracles(dim, mode):
+    rng = np.random.default_rng(2000 * dim + len(mode))
+    for overrides, centre in ((0, False), (0, False), (1, False), (2, True), (3, True)):
+        family = random_family(dim, mode, rng, overrides, centre)
+        theta, theta2 = rng.uniform(-1, 1, 2)
+        dense = dense_block_residuals(family, theta, theta2)
+        blocks = block_residuals(family, theta, theta2)
+        assert blocks.keys() == dense.keys()
+        for name, expected in dense.items():
+            assert abs(blocks[name] - expected) <= ORACLE_TOL, name
+        # the adjoint reads the same entries: exact, not just close
+        if mode == "unitary":
+            assert blocks["theta_reversal_residual"] == dense["theta_reversal_residual"]
 
 
 # ------------------------------------------------------------ projectors
@@ -332,6 +426,17 @@ def test_overlapping_member_fails_pruned_and_pairwise(monkeypatch, kind):
     assert {name: got[name] for name in expected} == expected
 
 
+def test_complex_weight_fails_closed_form_and_member_hermitian_check(monkeypatch):
+    clean = verify.projector_family(4, "Q")
+    weights = clean.weights.astype(complex)
+    weights[3] = 0.5 + 0.25j
+    broken = ProjectorFamily(4, "Q", clean.keys, clean.vectors, weights)
+    oracle = max(float(np.abs(m - dagger(m)).max()) for _, m in members(broken))
+    assert oracle > PROJECTOR_TOL
+    assert gram_residuals(monkeypatch, broken)["projectors_hermitian"] == 0.5
+    assert abs(oracle - 0.5) <= ORACLE_TOL
+
+
 @pytest.mark.parametrize("kind", ["unified", "Q"])
 def test_wrong_weight_fails_gram_and_member_checks(monkeypatch, kind):
     clean = verify.projector_family(4, kind)
@@ -350,14 +455,14 @@ def test_wrong_weight_fails_gram_and_member_checks(monkeypatch, kind):
 def test_members_match_the_index_formulas(dim):
     unified = projector_family(dim, "unified")
     assert len(unified) == dim * dim
-    for key, member in unified:
+    for key, member in members(unified):
         expected = orbit_sum(*key, dim)
         assert member.dtype == expected.dtype == np.float64
         assert np.array_equal(member, expected)
     if dim % 2 == 0:
         phased = projector_family(dim, "Q")
         assert len(phased) == dim * dim
-        for key, member in phased:
+        for key, member in members(phased):
             expected = phased_projector(*key, dim // 2)
             assert member.dtype == expected.dtype == np.complex128
             assert np.array_equal(member, expected)
@@ -376,7 +481,7 @@ def test_pair_family_equals_unified(dim):
     ]
     unified = projector_family(dim, "unified")
     assert list(unified.keys) == [key for key, _ in pairs]
-    for (key, expected), (_, member) in zip(pairs, unified):
+    for (key, expected), (_, member) in zip(pairs, members(unified)):
         assert member.dtype == expected.dtype
         assert np.array_equal(member, expected)
 
@@ -395,12 +500,34 @@ def test_even_form_sum_equals_matrix_from_basis(dim, mode):
 # ------------------------------------------------------------ exponential
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("mode", ["real", "unitary"])
+def test_stacked_exponential_matches_the_dense_one(dim, mode):
+    rng = np.random.default_rng(4000 + dim)
+    for overrides, centre in ((0, False), (2, True)):
+        family = random_family(dim, mode, rng, overrides, centre)
+        x = dense_generator(family)
+        for theta in rng.uniform(-1, 1, 3):
+            expected = matrix_exponential(theta * x)
+            got = matrix_exponential(theta * orbit_blocks(*family.generator()))
+            dense_blocks = orbit_blocks(*dense_grids(expected, dim))
+            assert got.shape == dense_blocks.shape
+            assert normalized_residual(got, dense_blocks) <= ORACLE_TOL
+    # a stack of unrelated matrices: one scaling, each member close to
+    # its own 2-D exponential
+    stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    stack[0] *= 5.0
+    for got, a in zip(matrix_exponential(stack), stack):
+        expected = matrix_exponential(a)
+        assert normalized_residual(got, expected) <= 1e-12
+
+
 @pytest.mark.parametrize("norm", [0.1, 0.5, 1.0, 5.0, 20.0, 50.0, 0.999 * MAX_EXP_NORM])
 def test_matrix_exponential_matches_scipy_expm(norm):
     linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(int(norm * 1000))
     h = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    generator = random_family(4, "unitary", rng).generator()
+    generator = dense_generator(random_family(4, "unitary", rng))
     for a in (rng.standard_normal((9, 9)), h, h - h.conj().T, generator):
         a = a * (norm / np.abs(a).sum(axis=0).max())
         expected = linalg.expm(a)

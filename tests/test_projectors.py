@@ -4,12 +4,11 @@ import pytest
 from braidmat import (
     DimensionError,
     ProjectorKey,
-    dagger,
     max_abs_diff,
     mirror_index,
     projector_family,
 )
-from test_oracles import braid_term, image_vector
+from test_oracles import braid_term, dagger, image_vector, members
 
 ALGEBRA_TOL = 1e-14
 
@@ -26,8 +25,7 @@ def kron_units(a, b, c, d, dim):
 
 
 def member(dim, kind, i, j, epsilon):
-    # dict(family) would take the ``keys`` field for a mapping method
-    return dict(iter(projector_family(dim, kind)))[ProjectorKey(i, j, epsilon)]
+    return dict(members(projector_family(dim, kind)))[ProjectorKey(i, j, epsilon)]
 
 
 def test_mirror_index():
@@ -52,7 +50,7 @@ def test_pair_projector_sign_sum_is_diagonal():
 
 def test_pair_projector_unit_trace():
     for dim in (2, 4):
-        for _, m in projector_family(dim, "unified"):
+        for _, m in members(projector_family(dim, "unified")):
             assert np.trace(m) == 1.0
 
 
@@ -89,12 +87,12 @@ def test_phased_projector_hand_expansion():
 
 def test_phased_projector_idempotent():
     for dim in (2, 4):
-        for _, q in projector_family(dim, "Q"):
+        for _, q in members(projector_family(dim, "Q")):
             assert max_abs_diff(q @ q, q) <= ALGEBRA_TOL
 
 
 def test_phased_family_completeness():
-    total = sum(m for _, m in projector_family(4, "Q"))
+    total = sum(m for _, m in members(projector_family(4, "Q")))
     assert max_abs_diff(total, np.eye(16)) <= ALGEBRA_TOL
 
 
@@ -109,23 +107,23 @@ def available_kinds(dim):
 def test_family_algebra(dim):
     for kind in available_kinds(dim):
         fam = projector_family(dim, kind)
-        members = [m for _, m in fam]
-        assert len(members) == dim * dim
-        for m in members:
+        dense = [m for _, m in members(fam)]
+        assert len(dense) == dim * dim
+        for m in dense:
             assert max_abs_diff(m @ m, m) <= ALGEBRA_TOL
             assert abs(complex(np.trace(m)) - 1.0) <= ALGEBRA_TOL
-        for a_idx, a in enumerate(members):
-            for b_idx, b in enumerate(members):
+        for a_idx, a in enumerate(dense):
+            for b_idx, b in enumerate(dense):
                 if a_idx != b_idx:
                     assert float(np.abs(a @ b).max()) <= ALGEBRA_TOL
-        assert max_abs_diff(sum(members), np.eye(dim * dim)) <= ALGEBRA_TOL
+        assert max_abs_diff(sum(dense), np.eye(dim * dim)) <= ALGEBRA_TOL
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_p_family_real_symmetric(dim):
     # at even N the "unified" family is the paper's sign-pair family P
     fam = projector_family(dim, "unified")
-    for _, m in fam:
+    for _, m in members(fam):
         assert m.dtype == np.float64
         assert np.array_equal(m, m.T)
 
@@ -133,7 +131,7 @@ def test_p_family_real_symmetric(dim):
 @pytest.mark.parametrize("dim", [2, 4, 6])
 def test_q_family_hermitian_exact(dim):
     fam = projector_family(dim, "Q")
-    for _, m in fam:
+    for _, m in members(fam):
         assert np.array_equal(dagger(m), m)
 
 
@@ -156,7 +154,7 @@ def test_image_vectors_form_orthonormal_basis(dim):
 @pytest.mark.parametrize("kind", ["unified", "Q"])
 def test_members_are_outer_products_of_image_vectors(kind):
     fam = projector_family(4, kind)
-    for key, m in fam:
+    for key, m in members(fam):
         v = image_vector(4, kind, key)
         assert max_abs_diff(m, np.outer(v, v.conj())) <= ALGEBRA_TOL
 

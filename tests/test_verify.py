@@ -18,13 +18,13 @@ from braidmat import (
     check_exponential,
     check_factorization,
     check_unitarity,
-    dagger,
     make_parameters,
     max_abs_diff,
     reference_checks,
     reference_projectors,
     run_suite,
 )
+from test_oracles import dagger
 
 
 def random_family(dim, mode, seed):
@@ -330,3 +330,16 @@ def test_reference_checks_report_the_construction_residuals():
             max_abs_diff(rot @ rot, -eye),
         )
         assert [c.residual for c in reference_checks(n)] == [pair, generator]
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_per_sample_checks_never_build_a_dense_matrix(monkeypatch, dim):
+    def refuse(self, theta):
+        raise AssertionError("dense braid matrix built")
+
+    params = random_family(dim, "unitary", 20 + dim).params
+    monkeypatch.setattr(BraidFamily, "matrix", refuse)
+    for suite in ("braid", "unitarity", "factorization", "exponential"):
+        report = run_suite(params, suite=suite, samples=2)
+        assert report.passed, suite
+        assert len(report.checks) == 3 * (2 if suite == "unitarity" else 1)
