@@ -17,8 +17,6 @@ from .braid import (
     canonical_keys,
     free_parameter_count,
     make_parameters,
-    reference_matrix,
-    reference_projectors,
 )
 from .config import ReferenceConfig, load_config, parse_config
 from .entangle import (
@@ -112,8 +110,6 @@ __all__ = [
     "projector_checks",
     "projector_family",
     "reference_checks",
-    "reference_matrix",
-    "reference_projectors",
     "run_suite",
     "scan_products",
     "schmidt_coefficients",

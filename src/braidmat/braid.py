@@ -31,8 +31,7 @@ from .errors import (
     ModeError,
     SizeLimitError,
 )
-from .linalg import max_abs_diff
-from .projectors import ProjectorFamily, mirror_index, projector_family
+from .projectors import ProjectorFamily, projector_family
 
 Mode = str  # "real" | "unitary"
 ParamKey = tuple[int, int, int]  # (i, j, epsilon)
@@ -45,9 +44,9 @@ MAX_REAL_THETA = 50.0
 
 # Largest side length N accepted anywhere.  A dense N^2 x N^2 complex128
 # matrix at N = 64 takes 268 MB, the same bound as linalg.MAX_KRON_DIM;
-# ``build``, ``entangle`` and the projector and reference checks of
-# ``verify`` allocate such matrices, its per-sample checks none (verify
-# --suite all --samples 2 peaks at 167 MB RSS at N = 32).
+# ``build`` and ``entangle`` allocate such matrices, ``verify`` none: it
+# reads grids and 2x2 orbit blocks only (verify --suite all --samples 2
+# peaks at about 120 MB RSS at N = 64).
 MAX_SIDE = 64
 
 _EPS_FROM_LABEL = {"+": +1, "-": -1, +1: +1, -1: -1, 1: +1}
@@ -75,15 +74,6 @@ def canonical_keys(dim: int) -> tuple[ParamKey, ...]:
 def free_parameter_count(dim: int) -> int:
     """N^2/2 free exponents for even N, (N+3)(N-1)/2 for odd N."""
     return len(canonical_keys(dim))
-
-
-def canonical_class(i: int, j: int, epsilon: int, dim: int) -> ParamKey:
-    """Canonical representative of the mirror orbit of (i, j, epsilon)."""
-    return (
-        min(i, mirror_index(i, dim)),
-        min(j, mirror_index(j, dim)),
-        epsilon,
-    )
 
 
 def _parse_value(raw: ParamValue) -> tuple[float, Fraction | None]:
@@ -216,14 +206,12 @@ def make_parameters(
             exact[key] = exact_value
         else:
             exact = None
-    grid = np.zeros((2, dim, dim))
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            for row, epsilon in enumerate((+1, -1)):
-                cls = canonical_class(i, j, epsilon, dim)
-                if center is not None and (cls[0], cls[1]) == center:
-                    continue
-                grid[row, i - 1, j - 1] = parsed[cls]
+    canonical = np.zeros((2, half, half))
+    for (i, j, epsilon), value in parsed.items():
+        canonical[(1 - epsilon) // 2, i - 1, j - 1] = value
+    # 0-based index k and its mirror dim-1-k share the class min of the two
+    fold = np.minimum(np.arange(dim), np.arange(dim)[::-1])
+    grid = canonical[:, fold[:, None], fold]
     patched = []
     for i, j, epsilon, raw_value in overrides:
         if not (1 <= i <= dim and 1 <= j <= dim):
@@ -264,7 +252,7 @@ class BraidFamily:
     @property
     def basis(self) -> ProjectorFamily:
         """The "unified" projector basis, built on first use and cached per
-        side length; ``matrix`` does not need it (N^4 floats)."""
+        side length; ``matrix`` does not need it (O(N^2) floats)."""
         return projector_family(self.dim, "unified")
 
     @property
@@ -305,17 +293,23 @@ class BraidFamily:
 
     def matrix_from_basis(self, theta: float) -> np.ndarray:
         """Same matrix, rebuilt as the sum of c_k w_k v_k v_k^T over the
-        basis members, with c_k = exp(m*theta) or exp(i*m*theta) read at
-        the member's key.
+        basis members, each scattered onto its mirror pair (r, r~), with
+        c_k = exp(m*theta) or exp(i*m*theta) read at the member's key.
 
-        Independent reference path used to cross-validate ``matrix``.
+        Independent reference path used to cross-validate ``matrix``: it
+        calls neither ``grids`` nor ``_pattern_matrix``.
         """
         basis = self.basis
         i, j, epsilon = np.array(basis.keys).T
         m = self.params.exponents[(1 - epsilon) // 2, i - 1, j - 1]
         rates = m if self.mode == "real" else 1j * m
-        c = np.exp(rates * theta)
-        return (basis.vectors * (c * basis.weights)) @ basis.vectors.T
+        terms = np.exp(rates * theta)[:, None, None] * basis.member_blocks()
+        size = len(basis)
+        r = np.arange(size) // 2
+        pair = np.stack([r, size - 1 - r], axis=1)
+        out = np.zeros((size, size), dtype=terms.dtype)
+        np.add.at(out, (pair[:, :, None], pair[:, None, :]), terms)
+        return out
 
     def generator(self) -> tuple[np.ndarray, np.ndarray]:
         """Grids, laid out as in ``grids``, of the infinitesimal generator
@@ -455,54 +449,52 @@ def block_structure(
 _REFERENCE_CHECK_TOL = 1e-13
 
 
-def reference_projectors(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Complementary projector pair (plus, minus) and the real rotation
-    generator of the single-parameter reference family on N = 2n.
-
-    The pair is obtained by summing the phased family over each sign.
-    The generator is -i*(plus - minus); it must come out real and
-    antisymmetric with square -I, and the pair must pass all projector
-    checks, otherwise the regrouping assumption is wrong and a
-    ConstructionError is raised.
-    """
-    return _reference_regrouping(n)[:3]
-
-
 def reference_residuals(n: int) -> Mapping[str, float]:
-    """The six self-check residuals measured while building
-    ``reference_projectors(n)``, keyed by check name (read-only)."""
-    return _reference_regrouping(n)[3]
+    """The six self-check residuals measured while building the reference
+    generator's orbit blocks, keyed by check name (read-only)."""
+    return _reference_regrouping(n)[1]
 
 
 @lru_cache(maxsize=None)
 def _reference_regrouping(n: int) -> tuple:
+    """Orbit blocks of the real rotation generator of the single-parameter
+    reference family on N = 2n, and the residuals of its self-checks.
+
+    The complementary projector pair (plus, minus) sums the phased family
+    over each sign: one member of each per mirror pair, so both are
+    stacks of 2x2 orbit blocks.  The generator is -i*(plus - minus); it
+    must come out real with square -I, and the pair must pass all
+    projector checks, otherwise the regrouping assumption is wrong and a
+    ConstructionError is raised.
+    """
     fam = projector_family(2 * n, "Q")
+    blocks = fam.member_blocks()
     signs = np.array(fam.keys)[:, 2]
-    plus, minus = (
-        (fam.vectors[:, sel] * fam.weights[sel]) @ fam.vectors[:, sel].conj().T
-        for sel in (signs == +1, signs == -1)
-    )
+    plus, minus = blocks[signs == +1], blocks[signs == -1]
     rot = -1j * (plus - minus)
-    eye = np.eye(len(fam))
+    eye = np.eye(2)
     checks = {
-        "plus idempotent": max_abs_diff(plus @ plus, plus),
-        "minus idempotent": max_abs_diff(minus @ minus, minus),
-        "orthogonal": float(np.abs(plus @ minus).max()),
-        "complete": max_abs_diff(plus + minus, eye),
-        "generator real": float(np.abs(rot.imag).max()),
-        "generator squares to -I": max_abs_diff(rot @ rot, -eye),
+        name: float(np.abs(deviation).max())
+        for name, deviation in (
+            ("plus idempotent", plus @ plus - plus),
+            ("minus idempotent", minus @ minus - minus),
+            ("orthogonal", plus @ minus),
+            ("complete", plus + minus - eye),
+            ("generator real", rot.imag),
+            ("generator squares to -I", rot @ rot + eye),
+        )
     }
     bad = {k: v for k, v in checks.items() if v > _REFERENCE_CHECK_TOL}
     if bad:
         raise ConstructionError(f"reference regrouping failed checks: {bad}")
     rot_real = np.ascontiguousarray(rot.real)
-    for m in (plus, minus, rot_real):
-        m.setflags(write=False)
-    return plus, minus, rot_real, MappingProxyType(checks)
+    rot_real.setflags(write=False)
+    return rot_real, MappingProxyType(checks)
 
 
-def reference_matrix(n: int, z: float) -> np.ndarray:
-    """Linear-form reference braid matrix I + z * rotation generator.
+def reference_blocks(n: int, z: float) -> np.ndarray:
+    """Orbit blocks of the linear-form reference braid matrix I + z * M,
+    M the rotation generator: a stack of [[1, z m], [-z m, 1]], m = +/-1.
 
     Real for real z; satisfies R(z)^T R(z) = (1 + z^2) I and the
     projective composition law R(z1) R(z2) = (1 - z1 z2) R(z3) with
@@ -510,8 +502,7 @@ def reference_matrix(n: int, z: float) -> np.ndarray:
     """
     if not np.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
-    _, _, rot = reference_projectors(n)
-    return np.eye(rot.shape[0]) + z * rot
+    return np.eye(2) + z * _reference_regrouping(n)[0]
 
 
 def require_mode(params_or_family, mode: Mode) -> None:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braid import BraidFamily, ParameterSet, canonical_keys, require_mode
+from .braid import BraidFamily, ParameterSet, canonical_keys, orbit_blocks, require_mode
 from .errors import AccuracyError
 from .linalg import schmidt_coefficients
 
@@ -130,15 +130,15 @@ def exceptional_scan(
     combinations can be diagnosed with ``degenerate_classes``.
     """
     require_mode(family, "unitary")
-    dim = family.dim
-    matrix = family.matrix(theta)
-    found = []
-    for a in range(1, dim + 1):
-        for b in range(1, dim + 1):
-            column = matrix[:, (a - 1) * dim + (b - 1)]
-            if int((np.abs(column) > tol).sum()) == 1:
-                found.append((a, b))
-    return found
+    diag, anti = family.grids(theta)
+    # column (a, b) of the matrix holds diag(a, b) and, on the mirror row,
+    # anti(a~, b~); at the odd-N centre the two are one entry, d + a
+    components = (np.abs(diag) > tol) + (np.abs(anti[::-1, ::-1]) > tol).astype(int)
+    if family.dim % 2:
+        c = family.dim // 2
+        components[c, c] = abs(diag[c, c] + anti[c, c]) > tol
+    a, b = np.nonzero(components == 1)
+    return list(zip((a + 1).tolist(), (b + 1).tolist()))
 
 
 def degenerate_classes(
@@ -174,7 +174,7 @@ def detect_period(params: ParameterSet) -> PeriodResult:
     Rational exponents are always mutually commensurate; the period is
     2*pi/g where g is the largest rational dividing every exponent
     (gcd of numerators over lcm of denominators).  The claimed period is
-    verified by direct matrix comparison at two theta base points; a
+    verified by comparing the orbit blocks at two theta base points; a
     verification failure (possible only for extreme rationals whose
     period exhausts double precision) raises AccuracyError rather than
     returning an unverified claim.
@@ -199,7 +199,8 @@ def detect_period(params: ParameterSet) -> PeriodResult:
     family = BraidFamily.create(params)
     residuals = []
     for theta0 in _PERIOD_PROBES:
-        diff = family.matrix(theta0 + period) - family.matrix(theta0)
+        shifted = orbit_blocks(*family.grids(theta0 + period))
+        diff = shifted - orbit_blocks(*family.grids(theta0))
         residuals.append(float(np.abs(diff).max()))
     if max(residuals) > _PERIOD_VERIFY_TOL:
         raise AccuracyError(

@@ -9,9 +9,11 @@ consists of rank-one projectors onto two-component combinations
 
 where i~, j~ are the mirrored indices and s is a sign or a phase, or
 onto the single state |i,j> at the self-mirrored centre of odd N.  Such
-a projector is fixed by its image vector, so a family is stored as the
-matrix V of unnormalized image vectors (one column per member) and the
-weights w with member k = w[k] v_k v_k^dagger; two kinds are provided:
+a projector is fixed by its image vector, and every member acts on one
+mirror pair (e_r, e_r~) of product-basis positions, r~ = N^2-1-r, so a
+family is stored as each member's two image-vector entries on its pair
+and the weights w with member k = w[k] v_k v_k^dagger; two kinds are
+provided:
 
 * "unified" - sign combinations grouped by mirror orbit, real symmetric,
               for either parity (at even N this is the paper's 2n pair
@@ -20,8 +22,10 @@ weights w with member k = w[k] v_k v_k^dagger; two kinds are provided:
               Hermitian with imaginary off-diagonal blocks, even N only.
 
 Each full family is complete (members sum to the identity), mutually
-orthogonal, idempotent, and unit-trace; with W = diag(w) these read
-V W V^dagger = I and W V^dagger V W = W.  Indices are 1-based throughout.
+orthogonal, idempotent, and unit-trace.  Members on different pairs have
+disjoint supports, so each property is read off the two members of one
+pair: the family is a direct sum of 2x2 pieces.  Indices are 1-based
+throughout.
 """
 
 from __future__ import annotations
@@ -54,13 +58,14 @@ class ProjectorKey(NamedTuple):
 class ProjectorFamily:
     """A complete orthogonal family of rank-one projectors.
 
-    Column k of the read-only ``vectors`` (dim^2 x dim^2) is the
-    unnormalized image vector of member ``keys[k]``: e_r + s e_c, or e_r
-    at the odd-N centre, so its entries are exactly 0, 1 and s.
-    ``weights[k]`` is its normalisation 1/|v_k|^2 (0.5, or 1.0 at the
-    centre), so member k is w_k v_k v_k^dagger; no member is stored.  The
-    member count is always dim^2: the family resolves the identity into
-    one-dimensional pieces.
+    Row k of the read-only ``vectors`` (dim^2 x 2) holds the entries of
+    member ``keys[k]``'s unnormalized image vector on (e_r, e_r~), with
+    r = k // 2 and r~ = dim^2-1-r: (1, s), or (1, 0) at the odd-N centre
+    (the last member, where r = r~).  ``weights[k]`` is its normalisation
+    1/|v_k|^2 (0.5, or 1.0 at the centre), so member k is
+    w_k v_k v_k^dagger on that pair; no member is stored.  The member
+    count is always dim^2: the family resolves the identity into
+    one-dimensional pieces, two per mirror pair.
     """
 
     dim: int
@@ -72,14 +77,19 @@ class ProjectorFamily:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def member_blocks(self) -> np.ndarray:
+        """Each member w_k v_k v_k^dagger as its 2x2 block on (e_r, e_r~),
+        laid out as ``braid.orbit_blocks``: a (dim^2, 2, 2) stack."""
+        v = self.vectors
+        return self.weights[:, None, None] * v[:, :, None] * v.conj()[:, None, :]
 
-def _members(
-    dim: int, kind: FamilyKind
-) -> Iterator[tuple[ProjectorKey, int, complex]]:
-    """Keys of the family in order, each with the 0-based position r of
-    |i,j> and the coefficient s in its image vector |i,j> + s |i~,j~>
-    (|i~,j~> sits at position dim^2-1-r).  Both kinds run over the first
-    half of the product basis, where r is at most its mirror's position."""
+
+def _members(dim: int, kind: FamilyKind) -> Iterator[tuple[ProjectorKey, complex]]:
+    """Keys of the family in order, each with the coefficient s in its
+    image vector |i,j> + s |i~,j~> (0 at the odd-N centre, whose image is
+    |i,j> alone).  Both kinds run over the first half of the product
+    basis, position r = (i-1)*dim + j-1 at most its mirror's dim^2-1-r,
+    with both signs at each r."""
     if kind not in ("unified", "Q"):
         raise ValueError(f"unknown family kind {kind!r}")
     if kind == "Q" and dim % 2:
@@ -88,14 +98,16 @@ def _members(
     for r in range((size + 1) // 2):
         i, j = divmod(r, dim)
         for epsilon in (+1, -1):
-            if kind == "unified":
-                if r == size - 1 - r and epsilon == -1:
+            if r == size - 1 - r:
+                if epsilon == -1:
                     continue  # the opposite-sign combination is the zero matrix
+                s = 0.0
+            elif kind == "unified":
                 s = epsilon
             else:
                 # (-1)^j~ with j~ = dim - j the 1-based mirrored column
                 s = -epsilon * 1j * (-1.0) ** (dim - j)
-            yield ProjectorKey(i + 1, j + 1, epsilon), r, s
+            yield ProjectorKey(i + 1, j + 1, epsilon), s
 
 
 @lru_cache(maxsize=None)
@@ -115,19 +127,12 @@ def projector_family(dim: int, kind: FamilyKind) -> ProjectorFamily:
     """
     if dim < 2:
         raise DimensionError("side length must be >= 2")
-    size = dim * dim
-    vectors = np.zeros((size, size), dtype=complex if kind == "Q" else float)
-    weights = np.ones(size)
-    keys: list[ProjectorKey] = []
-    for k, (key, r, s) in enumerate(_members(dim, kind)):
-        c = size - 1 - r
-        vectors[r, k] = 1.0
-        if r != c:
-            vectors[c, k] = s
-            weights[k] = 0.5
-        keys.append(key)
+    keys, coefficients = zip(*_members(dim, kind))
+    vectors = np.ones((len(keys), 2), dtype=complex if kind == "Q" else float)
+    vectors[:, 1] = coefficients
+    weights = 1.0 / (np.abs(vectors) ** 2).sum(axis=1)
     vectors.setflags(write=False)
     weights.setflags(write=False)
     return ProjectorFamily(
-        dim=dim, kind=kind, keys=tuple(keys), vectors=vectors, weights=weights
+        dim=dim, kind=kind, keys=keys, vectors=vectors, weights=weights
     )

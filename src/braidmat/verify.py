@@ -26,7 +26,7 @@ from .braid import (
     canonical_keys,
     make_parameters,
     orbit_blocks,
-    reference_matrix,
+    reference_blocks,
     reference_residuals,
     require_mode,
 )
@@ -40,7 +40,7 @@ from .errors import (
 )
 # kron is unused here but stays a module attribute: span tracers wrap
 # ``verify.kron``.
-from .linalg import kron, matrix_exponential, max_abs_diff  # noqa: F401
+from .linalg import kron, matrix_exponential  # noqa: F401
 from .projectors import projector_family
 
 SUITES = (
@@ -314,7 +314,7 @@ def check_exponential(
 def check_composition_law(
     n: int, z1: float, z2: float, tol: float = 1e-13
 ) -> CheckResult:
-    """Projective composition of the reference family.
+    """Projective composition of the reference family, on its orbit blocks.
 
     R(z1) @ R(z2) = (1 - z1*z2) * R(z3) with z3 = (z1+z2)/(1 - z1*z2);
     the scalar is reported in the context.  z1*z2 = 1 is a pole.
@@ -323,10 +323,10 @@ def check_composition_law(
     if abs(scalar) < 1e-12:
         raise DomainError(f"z1*z2 = {z1 * z2} is at the composition pole")
     z3 = (z1 + z2) / scalar
-    product = reference_matrix(n, z1) @ reference_matrix(n, z2)
+    product = reference_blocks(n, z1) @ reference_blocks(n, z2)
     return CheckResult(
         name="composition",
-        residual=normalized_residual(product, scalar * reference_matrix(n, z3)),
+        residual=normalized_residual(product, scalar * reference_blocks(n, z3)),
         tolerance=tol,
         context={"z1": z1, "z2": z2, "z3": z3, "scalar": scalar},
     )
@@ -336,25 +336,30 @@ def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[CheckResult]:
     """Idempotency, orthogonality, completeness, and trace for every
     projector family available at this side length.
 
-    Members P_k = w_k v_k v_k^dagger give P_a P_b = PP_ab v_a v_b^dagger
-    with PP = W G W, G = V^dagger V and W = diag(w).  Every nonzero entry
-    of an image vector has modulus 1, so max|P_a P_b| = |PP_ab|, and the
-    residuals read off PP equal those of the member-level products.
+    Member P_k = w_k v_k v_k^dagger acts on the mirror pair (e_r, e_r~),
+    r = k // 2, so members of different pairs have disjoint supports and
+    every residual is read off the two members of one pair:
+    P_k P_k = w_k^2 |v_k|^2 v_k v_k^dagger, trace P_k = w_k |v_k|^2, the
+    one overlap P_a P_b = w_a w_b (v_a^dagger v_b) v_a v_b^dagger, and the
+    pair's sum against I.  Every nonzero entry of an image vector has
+    modulus 1, so these equal the residuals of the dense member-level
+    products, at O(N^2) cost.
     """
     kinds = ["unified"] + (["Q"] if dim % 2 == 0 else [])
     results = []
     for kind in kinds:
         fam = projector_family(dim, kind)
-        vectors, weights = fam.vectors, fam.weights
-        gram = vectors.conj().T @ vectors
-        pp = weights[:, None] * gram * weights[None, :]
-        pp_diag = pp.diagonal()
-        idem = float(np.abs(pp_diag - weights).max())
-        orth = float(np.abs(pp - np.diag(pp_diag)).max())
-        complete = max_abs_diff(
-            (vectors * weights) @ vectors.conj().T, np.eye(dim * dim)
-        )
-        trace_dev = float(np.abs(pp_diag / weights - 1.0).max())
+        v, w = fam.vectors, fam.weights
+        norm = (np.abs(v) ** 2).sum(axis=1)
+        idem = float(np.abs(w * norm * w - w).max())
+        trace_dev = float(np.abs(w * norm - 1.0).max())
+        # members 2r and 2r + 1 share pair r; the odd-N centre is last
+        overlap = w[:-1:2] * (v[:-1:2].conj() * v[1::2]).sum(axis=1) * w[1::2]
+        orth = float(np.abs(overlap).max())
+        blocks = fam.member_blocks()
+        complete = float(np.abs(blocks[:-1:2] + blocks[1::2] - np.eye(2)).max())
+        if len(fam) % 2:  # the centre alone resolves its single position
+            complete = max(complete, float(abs(blocks[-1, 0, 0] - 1.0)))
         ctx = {"kind": kind, "members": len(fam)}
         results.append(CheckResult("projectors_idempotent", idem, tol, dict(ctx)))
         results.append(CheckResult("projectors_orthogonal", orth, tol, dict(ctx)))
@@ -362,7 +367,7 @@ def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[CheckResult]:
         results.append(CheckResult("projectors_unit_trace", trace_dev, tol, dict(ctx)))
         if kind == "Q":
             # member w v v^dagger with max|v| = 1 misses Hermiticity by 2|Im w|
-            herm = 2 * float(np.abs(weights.imag).max())
+            herm = 2 * float(np.abs(w.imag).max())
             results.append(CheckResult("projectors_hermitian", herm, tol, dict(ctx)))
     return results
 

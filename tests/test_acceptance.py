@@ -28,11 +28,11 @@ from braidmat import (
     make_parameters,
     max_abs_diff,
     projector_checks,
-    reference_projectors,
+    reference_checks,
     run_suite,
     scan_products,
 )
-from test_oracles import dagger, dense_generator, members
+from test_oracles import dagger, dense_generator, members, reference_projectors
 
 SAMPLED_DIMS = (2, 4, 6, 8)
 SETS_PER_DIM = 20
@@ -192,10 +192,13 @@ def test_criterion_6_exponential_form(sampled):
 def test_criterion_7_reference_family():
     worst_pair, worst_gen, worst_comp = 0.0, 0.0, 0.0
     for n in (1, 2, 3):
+        # the library's orbit-block residuals and the dense oracle pair
+        library_pair, library_gen = (c.residual for c in reference_checks(n))
         plus, minus, rot = reference_projectors(n)
         eye = np.eye((2 * n) ** 2)
         worst_pair = max(
             worst_pair,
+            library_pair,
             max_abs_diff(plus @ plus, plus),
             max_abs_diff(minus @ minus, minus),
             float(np.abs(plus @ minus).max()),
@@ -203,6 +206,7 @@ def test_criterion_7_reference_family():
         )
         worst_gen = max(
             worst_gen,
+            library_gen,
             float(np.abs((-1j * (plus - minus)).imag).max()),
             max_abs_diff(rot @ rot, -eye),
         )

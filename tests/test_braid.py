@@ -10,20 +10,22 @@ from braidmat import (
     DomainError,
     block_structure,
     canonical_keys,
+    check_composition_law,
     free_parameter_count,
     make_parameters,
     matrix_exponential,
     max_abs_diff,
-    reference_matrix,
-    reference_projectors,
 )
 from braidmat import braid
+from braidmat.braid import reference_blocks
 from test_oracles import (
     dagger,
     dense_generator,
     even_form_matrix,
     members,
+    reference_matrix,
     reference_phase_matrix,
+    reference_projectors,
 )
 
 PATH_TOL = 1e-14
@@ -203,8 +205,8 @@ def test_construction_paths_agree():
 
 
 def test_basis_is_built_on_first_use(monkeypatch):
-    # matrix() reads only the exponent grid; the N^6-float basis waits
-    # until something asks for it
+    # matrix() reads only the exponent grid; the basis waits until
+    # something asks for it
     calls = []
     build = braid.projector_family
     monkeypatch.setattr(
@@ -353,6 +355,8 @@ def test_exponential_of_generator_reproduces_family(mode):
 
 
 def test_reference_projectors_self_checks():
+    # the dense oracle pair of the index formulas; the library's orbit
+    # blocks are compared with it in test_oracles.py
     for n in (1, 2, 3):
         plus, minus, rot = reference_projectors(n)
         eye = np.eye((2 * n) ** 2)
@@ -366,19 +370,24 @@ def test_reference_projectors_self_checks():
 
 
 def test_reference_matrix_at_zero():
+    eye_blocks = np.broadcast_to(np.eye(2), (8, 2, 2))
+    assert np.array_equal(reference_blocks(2, 0.0), eye_blocks)
     assert np.array_equal(reference_matrix(2, 0.0), np.eye(16))
 
 
 @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
 def test_reference_matrix_rejects_non_finite_z(z):
     with pytest.raises(DomainError, match="z must be finite"):
-        reference_matrix(1, z)
+        reference_blocks(1, z)
+    with pytest.raises(DomainError, match="z must be finite"):
+        check_composition_law(1, z, 0.1)
 
 
 def test_reference_matrix_orthogonality_relation():
     for z in (-0.8, 0.3, 1.7):
-        r = reference_matrix(1, z)
-        assert max_abs_diff(r.T @ r, (1 + z * z) * np.eye(4)) <= 1e-13
+        r = reference_blocks(1, z)
+        gram = r.swapaxes(-1, -2) @ r
+        assert float(np.abs(gram - (1 + z * z) * np.eye(2)).max()) <= 1e-13
 
 
 def test_reference_phase_form_matches_linear_form():

@@ -5,11 +5,15 @@ two triple products column by column on at most four slots of the
 coefficient grids; ``check_unitarity``, ``check_factorization`` and the
 build-vs-exp half of ``check_exponential`` multiply and exponentiate the
 2x2 orbit blocks; ``projector_checks`` reads the projector algebra off
-the Gram matrix of the family's image vectors and the Hermitian check off
-the weights.  The dense computations they replace live on here as
-oracles: the full N^3 x N^3 Kronecker products, dense N^2 x N^2 products,
-adjoints and exponentials, and the member-level products, including the
-all-pairs orthogonality loop.  They are compared with the structured
+the two members of each mirror pair and the Hermitian check off the
+weights; the reference family and its composition law live on 2x2 orbit
+blocks; ``exceptional_scan`` and ``detect_period`` read the grids and
+``make_parameters`` expands the canonical values by index folding.  The
+dense computations they replace live on here as oracles: the full
+N^3 x N^3 Kronecker products, dense N^2 x N^2 products, adjoints and
+exponentials, the member-level products, including the all-pairs
+orthogonality loop, the dense reference pair and matrix, and the
+per-cell canonical-class loop.  They are compared with the structured
 kernels on random draws, symmetry overrides, and negative controls, so
 the fast paths never check themselves.
 
@@ -26,9 +30,12 @@ import pytest
 
 from braidmat import (
     BraidFamily,
+    ConstructionError,
+    DomainError,
     ProjectorFamily,
     canonical_keys,
     check_braid,
+    check_composition_law,
     check_exponential,
     check_factorization,
     check_unitarity,
@@ -36,12 +43,20 @@ from braidmat import (
     make_parameters,
     matrix_exponential,
     max_abs_diff,
+    mirror_index,
     normalized_residual,
     projector_checks,
     projector_family,
+    reference_checks,
 )
-from braidmat import verify
-from braidmat.braid import _pattern_matrix, orbit_blocks, pattern_grids
+from braidmat import braid, verify
+from braidmat.braid import (
+    _pattern_matrix,
+    orbit_blocks,
+    pattern_grids,
+    reference_blocks,
+)
+from braidmat.entangle import detect_period, exceptional_scan
 from braidmat.linalg import MAX_EXP_NORM
 from braidmat.verify import PROJECTOR_TOL, exchange_residual
 
@@ -56,10 +71,33 @@ def dagger(a):
 
 
 def members(family):
-    """Each key of ``family`` with its dense member w_k v_k v_k^dagger."""
+    """Each key of ``family`` with its dense member w_k v_k v_k^dagger,
+    the row of member k scattered onto its mirror pair (r, N^2-1-r),
+    r = k // 2 (added up where the pair is the odd-N centre)."""
+    size = family.dim**2
     for k, key in enumerate(family.keys):
-        v = family.vectors[:, k]
+        v = np.zeros(size, dtype=family.vectors.dtype)
+        v[size - 1 - k // 2] += family.vectors[k, 1]
+        v[k // 2] += family.vectors[k, 0]
         yield key, family.weights[k] * np.outer(v, v.conj())
+
+
+def parameter_grid(params):
+    """The (2, N, N) exponent grid of ``params`` by the per-cell loop over
+    the canonical class (min(i, i~), min(j, j~), eps) of every cell, the
+    odd-N centre held at zero, then the overrides patched in."""
+    dim = params.dim
+    centre = (dim + 1) // 2 if dim % 2 else None
+    grid = np.zeros((2, dim, dim))
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            for row, epsilon in enumerate((+1, -1)):
+                cls = (min(i, mirror_index(i, dim)), min(j, mirror_index(j, dim)))
+                if cls != (centre, centre):
+                    grid[row, i - 1, j - 1] = params.values[cls + (epsilon,)]
+    for i, j, epsilon, value in params.overrides:
+        grid[0 if epsilon == +1 else 1, i - 1, j - 1] = value
+    return grid
 
 
 def dense_generator(family):
@@ -110,7 +148,7 @@ def member_level_residuals(family):
     }
 
 
-def gram_residuals(monkeypatch, family):
+def checked_residuals(monkeypatch, family):
     """``projector_checks`` residuals by name, with ``family`` standing in
     for the library family of its kind."""
     original = verify.projector_family
@@ -249,10 +287,10 @@ def even_form_matrix(family, theta):
     return out
 
 
-def reference_phase_matrix(n, z):
-    """Phase form of the reference family: conjugate unit phases, principal
-    branch of ((1 - iz)/(1 + iz))^(1/2), on the sign sums of the phased
-    projectors."""
+def reference_projectors(n):
+    """Dense complementary pair (plus, minus) of the reference family on
+    N = 2n, the phased projectors summed over each sign, and its real
+    rotation generator -i (plus - minus)."""
     size = (2 * n) ** 2
     plus = np.zeros((size, size), dtype=complex)
     minus = np.zeros((size, size), dtype=complex)
@@ -260,6 +298,50 @@ def reference_phase_matrix(n, z):
         for j in range(1, 2 * n + 1):
             plus = plus + phased_projector(i, j, +1, n)
             minus = minus + phased_projector(i, j, -1, n)
+    return plus, minus, np.ascontiguousarray((-1j * (plus - minus)).real)
+
+
+def reference_matrix(n, z):
+    """Dense linear-form reference braid matrix I + z * rotation generator."""
+    if not np.isfinite(z):
+        raise DomainError(f"z must be finite, got {z!r}")
+    rot = reference_projectors(n)[2]
+    return np.eye(rot.shape[0]) + z * rot
+
+
+def dense_reference_residuals(n):
+    """The reference self-check residuals from the dense pair, as
+    ``reference_checks`` reports them (pair, generator)."""
+    plus, minus, rot = reference_projectors(n)
+    eye = np.eye(plus.shape[0])
+    pair = max(
+        max_abs_diff(plus @ plus, plus),
+        max_abs_diff(minus @ minus, minus),
+        float(np.abs(plus @ minus).max()),
+        max_abs_diff(plus + minus, eye),
+    )
+    generator = max(
+        float(np.abs((-1j * (plus - minus)).imag).max()),
+        max_abs_diff(rot @ rot, -eye),
+    )
+    return [pair, generator]
+
+
+def dense_composition_residual(n, z1, z2):
+    """Composition residual of ``check_composition_law`` from dense
+    reference matrices."""
+    scalar = 1.0 - z1 * z2
+    product = reference_matrix(n, z1) @ reference_matrix(n, z2)
+    return normalized_residual(
+        product, scalar * reference_matrix(n, (z1 + z2) / scalar)
+    )
+
+
+def reference_phase_matrix(n, z):
+    """Phase form of the reference family: conjugate unit phases, principal
+    branch of ((1 - iz)/(1 + iz))^(1/2), on the sign sums of the phased
+    projectors."""
+    plus, minus, _ = reference_projectors(n)
     phase = np.sqrt((1.0 - 1j * z) / (1.0 + 1j * z))
     return phase * plus + np.conjugate(phase) * minus
 
@@ -402,6 +484,8 @@ def test_block_checks_match_dense_oracles(dim, mode):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
 def test_gram_residuals_match_the_member_level_oracle(dim):
+    # the pair-level residuals of projector_checks (once read off a Gram
+    # matrix, hence the name) against the dense member-level products
     results = projector_checks(dim)
     for kind in {c.context["kind"] for c in results}:
         expected = member_level_residuals(verify.projector_family(dim, kind))
@@ -414,15 +498,15 @@ def test_gram_residuals_match_the_member_level_oracle(dim):
 @pytest.mark.parametrize("kind", ["unified", "Q"])
 def test_overlapping_member_fails_pruned_and_pairwise(monkeypatch, kind):
     clean = verify.projector_family(4, kind)
-    # couple the first image vector into the orbit of an unrelated member
+    # members 0 and 1 share a mirror pair: make them the same projector.
+    # Members of different pairs cannot overlap, the layout forbids it.
     vectors = clean.vectors.copy()
-    other_row = int(np.flatnonzero(clean.vectors[:, 5])[0])
-    assert vectors[other_row, 0] == 0
-    vectors[other_row, 0] = 1.0
+    vectors[1] = vectors[0]
     broken = ProjectorFamily(4, kind, clean.keys, vectors, clean.weights)
     expected = member_level_residuals(broken)
     assert expected["projectors_orthogonal"] > PROJECTOR_TOL
-    got = gram_residuals(monkeypatch, broken)
+    assert expected["projectors_complete"] > PROJECTOR_TOL
+    got = checked_residuals(monkeypatch, broken)
     assert {name: got[name] for name in expected} == expected
 
 
@@ -433,7 +517,7 @@ def test_complex_weight_fails_closed_form_and_member_hermitian_check(monkeypatch
     broken = ProjectorFamily(4, "Q", clean.keys, clean.vectors, weights)
     oracle = max(float(np.abs(m - dagger(m)).max()) for _, m in members(broken))
     assert oracle > PROJECTOR_TOL
-    assert gram_residuals(monkeypatch, broken)["projectors_hermitian"] == 0.5
+    assert checked_residuals(monkeypatch, broken)["projectors_hermitian"] == 0.5
     assert abs(oracle - 0.5) <= ORACLE_TOL
 
 
@@ -445,10 +529,22 @@ def test_wrong_weight_fails_gram_and_member_checks(monkeypatch, kind):
     weights[0] = 1.0
     broken = ProjectorFamily(4, kind, clean.keys, clean.vectors, weights)
     expected = member_level_residuals(broken)
-    got = gram_residuals(monkeypatch, broken)
+    got = checked_residuals(monkeypatch, broken)
     assert expected["projectors_idempotent"] > PROJECTOR_TOL
     assert expected["projectors_unit_trace"] > PROJECTOR_TOL
     assert {name: got[name] for name in expected} == expected
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_wrong_centre_weight_fails_block_and_member_checks(monkeypatch, dim):
+    clean = verify.projector_family(dim, "unified")
+    weights = clean.weights.copy()
+    assert weights[-1] == 1.0  # the odd-N centre, alone on its position
+    weights[-1] = 0.5
+    broken = ProjectorFamily(dim, "unified", clean.keys, clean.vectors, weights)
+    expected = member_level_residuals(broken)
+    assert expected["projectors_complete"] == 0.5
+    assert {name: checked_residuals(monkeypatch, broken)[name] for name in expected} == expected
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
@@ -466,6 +562,19 @@ def test_members_match_the_index_formulas(dim):
             expected = phased_projector(*key, dim // 2)
             assert member.dtype == expected.dtype == np.complex128
             assert np.array_equal(member, expected)
+
+
+def test_member_rows_sit_on_their_mirror_pairs():
+    for dim in (2, 3, 4, 5):
+        for kind in ["unified"] + (["Q"] if dim % 2 == 0 else []):
+            fam = projector_family(dim, kind)
+            assert fam.vectors.shape == (dim * dim, 2)
+            assert not fam.vectors.flags.writeable
+            for k, key in enumerate(fam.keys):
+                r, mirror = positions(key.i, key.j, dim)
+                assert (r, mirror) == (k // 2, dim * dim - 1 - k // 2)
+                assert fam.vectors[k, 0] == 1.0
+                assert abs(fam.vectors[k, 1]) == (0.0 if r == mirror else 1.0)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8, 10])
@@ -495,6 +604,116 @@ def test_even_form_sum_equals_matrix_from_basis(dim, mode):
         got = family.matrix_from_basis(theta)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
+
+
+# ------------------------------------------------------------ reference family
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reference_blocks_match_the_dense_oracle(n):
+    size = (2 * n) ** 2
+    pairs = [(r, size - 1 - r) for r in range(size // 2)]
+    rng = np.random.default_rng(5000 + n)
+    for z in (0.0, *rng.uniform(-2, 2, 3)):
+        dense = reference_matrix(n, z)
+        blocks = reference_blocks(n, z)
+        assert blocks.shape == (size // 2, 2, 2)
+        assert np.array_equal(
+            blocks, np.stack([dense[np.ix_(pair, pair)] for pair in pairs])
+        )
+    assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
+    for z1, z2 in rng.uniform(-0.9, 0.9, (5, 2)):
+        block = check_composition_law(n, z1, z2).residual
+        assert abs(block - dense_composition_residual(n, z1, z2)) <= ORACLE_TOL
+
+
+def test_coupled_phased_pair_fails_the_reference_regrouping(monkeypatch):
+    clean = projector_family(4, "Q")
+    # the minus member of pair 0 becomes its plus member
+    vectors = clean.vectors.copy()
+    vectors[1] = vectors[0]
+    broken = ProjectorFamily(4, "Q", clean.keys, vectors, clean.weights)
+    dense = [m for _, m in members(broken)]
+    plus, minus = sum(dense[::2]), sum(dense[1::2])
+    rot = -1j * (plus - minus)
+    eye = np.eye(16)
+    residuals = {
+        "plus idempotent": max_abs_diff(plus @ plus, plus),
+        "minus idempotent": max_abs_diff(minus @ minus, minus),
+        "orthogonal": float(np.abs(plus @ minus).max()),
+        "complete": max_abs_diff(plus + minus, eye),
+        "generator real": float(np.abs(rot.imag).max()),
+        "generator squares to -I": max_abs_diff(rot @ rot, -eye),
+    }
+    bad = {name: value for name, value in residuals.items() if value > 1e-13}
+    assert list(bad) == ["orthogonal", "complete", "generator squares to -I"]
+    monkeypatch.setattr(braid, "projector_family", lambda dim, kind: broken)
+    with pytest.raises(ConstructionError) as failure:
+        braid._reference_regrouping.__wrapped__(2)
+    assert str(failure.value) == f"reference regrouping failed checks: {bad}"
+
+
+# ------------------------------------------------------------ parameters
+
+
+@pytest.mark.parametrize("dim", range(2, 18))
+def test_make_parameters_matches_the_per_cell_loop(dim):
+    rng = np.random.default_rng(6000 + dim)
+    for overrides, centre in ((0, False), (2, False), (1, True)):
+        params = random_family(dim, "real", rng, overrides, centre).params
+        assert np.array_equal(params.exponents, parameter_grid(params))
+        assert params.exponents.tobytes() == parameter_grid(params).tobytes()
+
+
+# ------------------------------------------------------------ entanglement
+
+
+def dense_exceptional(family, theta, tol=1e-8):
+    """Columns of the dense matrix with exactly one entry above ``tol``."""
+    matrix = family.matrix(theta)
+    dim = family.dim
+    return [
+        (a, b)
+        for a in range(1, dim + 1)
+        for b in range(1, dim + 1)
+        if int((np.abs(matrix[:, (a - 1) * dim + (b - 1)]) > tol).sum()) == 1
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_exceptional_scan_matches_the_dense_columns(dim):
+    rng = np.random.default_rng(7000 + dim)
+    for overrides, centre in ((0, False), (2, False), (2, True)):
+        family = random_family(dim, "unitary", rng, overrides, centre)
+        for theta in (0.0, rng.uniform(-1, 1), np.pi / 2):
+            for tol in (1e-8, 0.5, 0.9):
+                expected = dense_exceptional(family, theta, tol)
+                assert exceptional_scan(family, theta, tol) == expected
+    # with a centre override the centre's two grid entries are both far
+    # from zero, yet its column holds the one entry d + a = exp(i m+ theta)
+    if dim % 2:
+        mid = (dim + 1) // 2
+        params = make_parameters(dim, "unitary", {}, overrides=((mid, mid, +1, 1.0),))
+        family = BraidFamily.create(params)
+        diag, anti = family.grids(1.0)
+        assert min(abs(diag[mid - 1, mid - 1]), abs(anti[mid - 1, mid - 1])) > 0.4
+        assert (mid, mid) in exceptional_scan(family, 1.0)
+        assert exceptional_scan(family, 1.0) == dense_exceptional(family, 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_period_residuals_match_the_dense_matrices(dim):
+    rng = np.random.default_rng(8000 + dim)
+    keys = canonical_keys(dim)
+    values = {key: f"{rng.integers(-6, 7)}/{rng.integers(1, 4)}" for key in keys}
+    params = make_parameters(dim, "unitary", values)
+    result = detect_period(params)
+    family = BraidFamily.create(params)
+    expected = tuple(
+        float(np.abs(family.matrix(t + result.period) - family.matrix(t)).max())
+        for t in (0.37, 1.51)
+    )
+    assert result.verification_residuals == expected
 
 
 # ------------------------------------------------------------ exponential

@@ -1,4 +1,8 @@
-"""Property tests for the orbit-block layout of the coefficient grids."""
+"""Property tests for the orbit-block layout of the coefficient grids, and
+for the pair-level projector, reference and composition checks against
+their dense oracles."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +10,24 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from braidmat import BraidFamily, canonical_keys, make_parameters  # noqa: E402
+from braidmat import (  # noqa: E402
+    BraidFamily,
+    ProjectorFamily,
+    canonical_keys,
+    check_composition_law,
+    make_parameters,
+    projector_checks,
+    projector_family,
+    reference_checks,
+    verify,
+)
 from braidmat.braid import _pattern_matrix, block_grids, orbit_blocks  # noqa: E402
+from test_oracles import (  # noqa: E402
+    ORACLE_TOL,
+    dense_composition_residual,
+    dense_reference_residuals,
+    member_level_residuals,
+)
 
 VALUE = st.floats(-2, 2, allow_nan=False)
 
@@ -56,3 +76,53 @@ def test_orbit_blocks_restrict_the_pattern_matrix_and_invert(case):
     back_diag, back_anti = block_grids(blocks, dim)
     assert np.array_equal(back_diag, folded_diag)
     assert np.array_equal(back_anti, folded_anti)
+
+
+# Entries of modulus 0 or 1 and dyadic weights keep both the pair-level
+# and the dense member-level arithmetic exact.
+UNITS = {"unified": [1.0, -1.0], "Q": [1.0, -1.0, 1j, -1j]}
+WEIGHT = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def projector_families(draw):
+    """A family of either kind, N <= 9, with up to four members redrawn:
+    first entry of modulus 1, second entry 0 or of modulus 1 (0 at the
+    odd-N centre, whose pair is a single position), any dyadic weight."""
+    dim = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["unified", "Q"] if dim % 2 == 0 else ["unified"]))
+    clean = projector_family(dim, kind)
+    vectors, weights = clean.vectors.copy(), clean.weights.copy()
+    unit = st.sampled_from(UNITS[kind])
+    for k in draw(st.lists(st.integers(0, len(clean) - 1), max_size=4)):
+        centre = 2 * (k // 2) + 1 == len(clean)
+        vectors[k] = draw(unit), 0.0 if centre else draw(st.one_of(st.just(0.0), unit))
+        weights[k] = draw(WEIGHT)
+    return ProjectorFamily(dim, kind, clean.keys, vectors, weights)
+
+
+@settings(max_examples=20, deadline=None)
+@given(projector_families())
+def test_pair_level_projector_residuals_equal_the_dense_oracle(family):
+    original = verify.projector_family
+    stand_in = lambda d, k: family if k == family.kind else original(d, k)  # noqa: E731
+    with mock.patch.object(verify, "projector_family", stand_in):
+        checked = {
+            c.name: c.residual
+            for c in projector_checks(family.dim)
+            if c.context["kind"] == family.kind
+        }
+    expected = member_level_residuals(family)
+    assert {name: checked[name] for name in expected} == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.floats(-0.9, 0.9, allow_nan=False),
+    st.floats(-0.9, 0.9, allow_nan=False),
+)
+def test_reference_and_composition_residuals_equal_the_dense_oracle(n, z1, z2):
+    assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
+    block = check_composition_law(n, z1, z2).residual
+    assert abs(block - dense_composition_residual(n, z1, z2)) <= ORACLE_TOL

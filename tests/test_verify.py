@@ -1,10 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from braidmat import verify
+from braidmat import braid, verify
 from braidmat import (
     BraidFamily,
     CheckResult,
@@ -21,10 +22,9 @@ from braidmat import (
     make_parameters,
     max_abs_diff,
     reference_checks,
-    reference_projectors,
     run_suite,
 )
-from test_oracles import dagger
+from test_oracles import dagger, dense_reference_residuals
 
 
 def random_family(dim, mode, seed):
@@ -314,22 +314,10 @@ def test_tolerance_schedule():
 
 
 def test_reference_checks_report_the_construction_residuals():
-    # reference_checks reuses the residuals measured while the pair was
-    # built; recomputing them from the returned matrices gives the same bits
+    # reference_checks reuses the residuals measured while the orbit blocks
+    # were built; the dense oracle pair gives the same bits
     for n in (1, 2, 3):
-        plus, minus, rot = reference_projectors(n)
-        eye = np.eye(plus.shape[0])
-        pair = max(
-            max_abs_diff(plus @ plus, plus),
-            max_abs_diff(minus @ minus, minus),
-            float(np.abs(plus @ minus).max()),
-            max_abs_diff(plus + minus, eye),
-        )
-        generator = max(
-            float(np.abs((-1j * (plus - minus)).imag).max()),
-            max_abs_diff(rot @ rot, -eye),
-        )
-        assert [c.residual for c in reference_checks(n)] == [pair, generator]
+        assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
 
 
 @pytest.mark.parametrize("dim", [4, 5])
@@ -343,3 +331,21 @@ def test_per_sample_checks_never_build_a_dense_matrix(monkeypatch, dim):
         report = run_suite(params, suite=suite, samples=2)
         assert report.passed, suite
         assert len(report.checks) == 3 * (2 if suite == "unitarity" else 1)
+
+
+def test_projector_and_composition_checks_stay_small_at_n64():
+    # no N^2 x N^2 array: one complex one takes 268 MB at N = 64, and the
+    # dense projector and reference checks allocated several
+    verify.projector_family.cache_clear()
+    braid._reference_regrouping.cache_clear()
+    params = make_parameters(64, "unitary", {})
+    tracemalloc.start()
+    try:
+        report = run_suite(params, suite="projectors")
+        composition = check_composition_law(32, 0.3, -0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and composition.passed
+    assert len(report.checks) == 11
+    assert peak < 16 * 2**20
