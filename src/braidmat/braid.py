@@ -184,7 +184,8 @@ def make_parameters(
     half = (dim + 1) // 2
     center = (half, half) if dim % 2 else None
     parsed: dict[ParamKey, float] = {key: 0.0 for key in allowed}
-    exact: dict[ParamKey, Fraction] | None = {key: Fraction(0) for key in allowed}
+    # the given exact values; None once any value is a float
+    exact: dict[ParamKey, Fraction] | None = {}
     for raw_key, raw_value in values.items():
         key = _normalize_key(raw_key)
         value, exact_value = _parse_value(raw_value)
@@ -206,6 +207,10 @@ def make_parameters(
             exact[key] = exact_value
         else:
             exact = None
+    if overrides:
+        exact = None
+    elif exact is not None:
+        exact = {**dict.fromkeys(allowed, Fraction(0)), **exact}
     canonical = np.zeros((2, half, half))
     for (i, j, epsilon), value in parsed.items():
         canonical[(1 - epsilon) // 2, i - 1, j - 1] = value
@@ -225,7 +230,7 @@ def make_parameters(
         mode=mode,
         values=parsed,
         exponents=grid,
-        exact_values=exact if not overrides else None,
+        exact_values=exact,
         overrides=tuple(patched),
     )
 

@@ -9,11 +9,13 @@ pi such as "pi/4", "-pi/2", or "3pi/8".
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import re
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .braid import BraidFamily
@@ -55,8 +57,89 @@ def _parse_pi_fraction(text: str) -> float:
     return sign * numerator * math.pi / denominator
 
 
+def _scalar_text(value) -> str | None:
+    """JSON text of a scalar, or None for a list, tuple or dict.
+
+    Follows json's order: the three constants, then isinstance str, int
+    and float, so subclasses (numpy.float64 in verify reports, IntEnum)
+    print through the base type's __repr__, as json does.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_rows_text(rows: list | tuple, indent: str) -> str | None:
+    """Items of a list of equal-length rows of exact finite floats, laid
+    out by one %r template, or None when ``rows`` is not such a list.
+
+    ``%r`` is float.__repr__ only for exact floats, and prints NaN and
+    infinities as Python does, not as JSON does; a finite sum proves every
+    item finite, and an overflowing one falls back to the general path.
+    """
+    flat = list(chain.from_iterable(rows))
+    if (len(set(map(len, rows))) != 1 or set(map(type, flat)) != {float}
+            or not math.isfinite(sum(flat))):
+        return None
+    inner = indent + "  "
+    row = "[" + inner + ("," + inner).join(["%r"] * len(rows[0])) + indent + "]"
+    return ("," + indent).join([row] * len(rows)) % tuple(flat)
+
+
+def _item_texts(items, indent: str) -> list[str]:
+    texts = list(map(_scalar_text, items))
+    if None in texts:
+        texts = [_json_text(item, indent) if text is None else text
+                 for text, item in zip(texts, items)]
+    return texts
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the acyclic
+    payloads the commands emit; dict keys must be strings.
+
+    A list of scalars is joined in one pass, and a list of equal-length
+    rows of floats (``build``'s ``entries``) is formatted by one template.
+    """
+    text = _scalar_text(value)
+    if text is not None:
+        return text
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        keys = list(map(encode_basestring_ascii, value))  # TypeError unless str
+        texts = _item_texts(value.values(), inner)
+        body = ("," + inner).join(map(": ".join, zip(keys, texts)))
+        return "{" + inner + body + indent + "}"
+    body = None
+    if set(map(type, value)) <= {list, tuple}:
+        body = _float_rows_text(value, inner)
+    if body is None:
+        body = ("," + inner).join(_item_texts(value, inner))
+    return "[" + inner + body + indent + "]"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -123,6 +206,7 @@ def cmd_reference(args: argparse.Namespace) -> int:
     return 0 if payload["passed"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidmat",

@@ -137,9 +137,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
     round-trip decimal form.
     """
     a = as_matrix(a)
-    c = a.astype(complex, copy=False)
-    entries = [[float(z.real), float(z.imag)] for z in c.ravel()]
-    return {"dim": int(a.shape[0]), "entries": entries}
+    pairs = np.ascontiguousarray(a, dtype=complex).view(np.float64)
+    return {"dim": int(a.shape[0]), "entries": pairs.reshape(-1, 2).tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +104,20 @@ def test_epsilon_labels_accepted():
     params = make_parameters(2, "real", {(1, 1, "+"): 2.0, (1, 1, "-"): 1.0})
     assert params.value(1, 1, +1) == 2.0
     assert params.value(1, 1, -1) == 1.0
+
+
+def test_exact_values_default_to_zero_only_when_every_value_is_exact():
+    given = {(1, 1, "+"): 2, (2, 1, "-"): "1/3", (1, 2, "+"): Fraction(-3, 4)}
+    params = make_parameters(4, "unitary", given)
+    expected = {key: Fraction(0) for key in canonical_keys(4)}
+    expected.update({(1, 1, 1): Fraction(2), (2, 1, -1): Fraction(1, 3),
+                     (1, 2, 1): Fraction(-3, 4)})
+    assert params.exact_values == expected
+    assert make_parameters(4, "unitary", {}).exact_values == dict.fromkeys(
+        canonical_keys(4), Fraction(0)
+    )
+    assert make_parameters(4, "unitary", {**given, (2, 2, "-"): 0.5}).exact_values is None
+    assert make_parameters(4, "unitary", given, ((1, 1, 1, 2),)).exact_values is None
 
 
 def test_override_breaks_symmetry_and_flags_it():

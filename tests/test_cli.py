@@ -379,3 +379,38 @@ def test_reference_config_rejected_for_build(tmp_path, capsys):
     config = write_config(tmp_path, {"reference": True, "n": 1})
     assert main(["build", "--config", config, "--theta", "0"]) == 2
     assert "braid-family" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ parser
+
+
+def test_one_parser_serves_successive_commands(tmp_path, capsys):
+    """The parser is built once per process; calls with other commands
+    and flags in between give the same outputs as a freshly built one."""
+    from braidmat.cli import _build_parser
+
+    config = write_config(tmp_path, braid_config(dim=3))
+    runs = [
+        ["verify", "--config", config, "--suite", "braid", "--samples", "2",
+         "--seed", "5", "--tol", "1e-9"],
+        ["build", "--config", config, "--theta", "pi/4"],
+        ["verify", "--config", config, "--samples", "1"],
+        ["entangle", "--config", config, "--theta", "0.3"],
+        ["reference", "--n", "2", "--z1", "0.5", "--z2", "0.25"],
+    ]
+
+    def outputs():
+        results = []
+        for argv in runs:
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    assert _build_parser() is _build_parser()
+    shared = outputs()
+    fresh = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr().out))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 0]

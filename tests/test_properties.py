@@ -1,7 +1,10 @@
-"""Property tests for the orbit-block layout of the coefficient grids, and
-for the pair-level projector, reference and composition checks against
-their dense oracles."""
+"""Property tests for the orbit-block layout of the coefficient grids, for
+the pair-level projector, reference and composition checks against
+their dense oracles, and for the command-line JSON writer against
+``json.dumps(indent=2)``."""
 
+import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,6 +25,7 @@ from braidmat import (  # noqa: E402
     verify,
 )
 from braidmat.braid import _pattern_matrix, block_grids, orbit_blocks  # noqa: E402
+from braidmat.cli import _json_text  # noqa: E402
 from test_oracles import (  # noqa: E402
     ORACLE_TOL,
     dense_composition_residual,
@@ -126,3 +130,44 @@ def test_reference_and_composition_residuals_equal_the_dense_oracle(n, z1, z2):
     assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
     block = check_composition_law(n, z1, z2).residual
     assert abs(block - dense_composition_residual(n, z1, z2)) <= ORACLE_TOL
+
+
+json_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+scalars = st.one_of(
+    json_floats,
+    st.sampled_from([-0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf]),
+    json_floats.map(np.float64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+float_rows = st.integers(min_value=1, max_value=4).flatmap(
+    lambda width: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=width, max_size=width),
+        min_size=1, max_size=6,
+    )
+)
+# float rows with one item swapped for a NaN, an infinity, an int, a bool
+# or a numpy.float64
+spoiled_rows = st.tuples(
+    float_rows, st.sampled_from([math.nan, -math.inf, 7, True, np.float64(0.5)])
+).map(lambda pair: pair[0][:-1] + [pair[0][-1][:-1] + [pair[1]]])
+# float rows with one row an item short
+ragged_rows = float_rows.map(lambda rows: rows + [rows[0][:-1]])
+payloads = st.recursive(
+    st.one_of(scalars, float_rows, spoiled_rows, ragged_rows),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payloads)
+def test_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2)
