@@ -37,20 +37,8 @@ from .errors import (
     ModeError,
     SizeLimitError,
 )
-from .linalg import (
-    kron,
-    matrix_exponential,
-    matrix_from_json,
-    matrix_to_json,
-    max_abs_diff,
-    schmidt_coefficients,
-)
-from .projectors import (
-    ProjectorFamily,
-    ProjectorKey,
-    mirror_index,
-    projector_family,
-)
+from .linalg import matrix_exponential, matrix_from_json, matrix_to_json
+from .projectors import ProjectorFamily, ProjectorKey, projector_family
 from .verify import (
     CheckResult,
     VerificationReport,
@@ -97,14 +85,11 @@ __all__ = [
     "detect_period",
     "exceptional_scan",
     "free_parameter_count",
-    "kron",
     "load_config",
     "make_parameters",
     "matrix_exponential",
     "matrix_from_json",
     "matrix_to_json",
-    "max_abs_diff",
-    "mirror_index",
     "normalized_residual",
     "parse_config",
     "projector_checks",
@@ -112,5 +97,4 @@ __all__ = [
     "reference_checks",
     "run_suite",
     "scan_products",
-    "schmidt_coefficients",
 ]

@@ -44,9 +44,9 @@ MAX_REAL_THETA = 50.0
 
 # Largest side length N accepted anywhere.  A dense N^2 x N^2 complex128
 # matrix at N = 64 takes 268 MB, the same bound as linalg.MAX_KRON_DIM;
-# ``build`` and ``entangle`` allocate such matrices, ``verify`` none: it
-# reads grids and 2x2 orbit blocks only (verify --suite all --samples 2
-# peaks at about 120 MB RSS at N = 64).
+# only ``build`` allocates such a matrix.  ``verify`` and ``entangle`` read
+# grids and 2x2 orbit blocks (at N = 64 verify --suite all --samples 2
+# peaks at about 120 MB RSS, and an entangle scan allocates about 13 MB).
 MAX_SIDE = 64
 
 _EPS_FROM_LABEL = {"+": +1, "-": -1, +1: +1, -1: -1, 1: +1}

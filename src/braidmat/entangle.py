@@ -2,7 +2,10 @@
 
 Every basis state |a,b> is mapped into the two-dimensional plane spanned
 by itself and its mirror partner |a~,b~>, so the Schmidt rank of the
-image is 1 or 2 and the entanglement entropy is at most one bit.
+image is 1 or 2 and the entanglement entropy is at most one bit.  The
+records are therefore read off one column of a 2x2 orbit block
+(``braid.orbit_blocks``) per state, in closed form: no dense matrix and
+no singular value decomposition.
 
 A basis state is *exceptional* when the braid matrix conserves its
 status as a basis product: the image is, up to a global phase, again a
@@ -28,7 +31,9 @@ import numpy as np
 
 from .braid import BraidFamily, ParameterSet, canonical_keys, orbit_blocks, require_mode
 from .errors import AccuracyError
-from .linalg import schmidt_coefficients
+# unused here but stays a module attribute: span tracers wrap
+# ``entangle.schmidt_coefficients``.
+from .linalg import schmidt_coefficients  # noqa: F401
 
 # Singular values above this count toward the Schmidt rank; structural
 # zeros are exact while rounding noise sits many orders lower.
@@ -90,31 +95,54 @@ class PeriodResult:
         }
 
 
-def _record(state: np.ndarray, a: int, b: int, dim: int) -> EntanglementRecord:
-    values = schmidt_coefficients(state, dim, dim)
-    probs = values**2
-    entropy = float(-(probs[probs > 0] * np.log2(probs[probs > 0])).sum())
-    return EntanglementRecord(
-        a=a,
-        b=b,
-        singular_values=tuple(float(v) for v in values),
-        entropy=max(entropy, 0.0),
-        schmidt_rank=int((values > RANK_TOL).sum()),
-    )
+def _column_moduli(family: BraidFamily, theta: float) -> np.ndarray:
+    """(N^2, 2) moduli of the two entries of every column of the braid
+    matrix, in (a, b) order: the diagonal entry, then the antidiagonal one
+    on the mirror row.  Column r of block r is [d_r, a_r~] and column r~,
+    read from the mirror row up, [d_r~, a_r]; the odd-N centre column
+    holds the one entry d + a of its (d + a) I block, and a zero."""
+    blocks = np.abs(orbit_blocks(*family.grids(theta)))
+    moduli = np.empty((family.dim**2, 2))
+    moduli[::-1][: len(blocks)] = blocks[:, ::-1, 1]
+    # written last, column 0 of the centre block wins
+    moduli[: len(blocks)] = blocks[:, :, 0]
+    return moduli
 
 
 def scan_products(
     family: BraidFamily, theta: float
 ) -> list[EntanglementRecord]:
-    """Schmidt data for every product basis state, in (a, b) order."""
+    """Schmidt data for every product basis state, in (a, b) order.
+
+    State |a,b> maps to d|a,b> + e|a~,b~> (its column's diagonal and
+    antidiagonal entries), whose singular values are |d| and |e|, sorted.
+    On the odd-N centre row a~ = a and the image is the product
+    |a> (x) (d|b> + e|b~>) (likewise on the centre column), with the single
+    value hypot(|d|, |e|).  The values are padded with zeros to length N.
+    """
     require_mode(family, "unitary")
     dim = family.dim
-    matrix = family.matrix(theta)
-    records = []
-    for a in range(1, dim + 1):
-        for b in range(1, dim + 1):
-            records.append(_record(matrix[:, (a - 1) * dim + (b - 1)], a, b, dim))
-    return records
+    moduli = _column_moduli(family, theta)
+    values = np.zeros((dim * dim, dim))
+    values[:, :2] = np.sort(moduli, axis=1)[:, ::-1]
+    if dim % 2:
+        line = np.zeros((dim, dim), dtype=bool)
+        line[dim // 2] = line[:, dim // 2] = True
+        line = line.ravel()
+        values[line, 0] = np.hypot(moduli[line, 0], moduli[line, 1])
+        values[line, 1] = 0.0
+    probs = values[:, :2] ** 2
+    logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
+    entropy = -(probs * logs).sum(axis=1)
+    # a negative sum (squares past one under symmetry overrides) and the
+    # -0.0 of a rank-1 state both emit 0.0
+    entropy = np.where(entropy > 0, entropy, 0.0)
+    ranks = (values > RANK_TOL).sum(axis=1)
+    rows = zip(values.tolist(), entropy.tolist(), ranks.tolist())
+    return [
+        EntanglementRecord(r // dim + 1, r % dim + 1, tuple(v), e, k)
+        for r, (v, e, k) in enumerate(rows)
+    ]
 
 
 def exceptional_scan(
@@ -130,14 +158,8 @@ def exceptional_scan(
     combinations can be diagnosed with ``degenerate_classes``.
     """
     require_mode(family, "unitary")
-    diag, anti = family.grids(theta)
-    # column (a, b) of the matrix holds diag(a, b) and, on the mirror row,
-    # anti(a~, b~); at the odd-N centre the two are one entry, d + a
-    components = (np.abs(diag) > tol) + (np.abs(anti[::-1, ::-1]) > tol).astype(int)
-    if family.dim % 2:
-        c = family.dim // 2
-        components[c, c] = abs(diag[c, c] + anti[c, c]) > tol
-    a, b = np.nonzero(components == 1)
+    components = (_column_moduli(family, theta) > tol).sum(axis=1)
+    a, b = np.nonzero(components.reshape(family.dim, family.dim) == 1)
     return list(zip((a + 1).tolist(), (b + 1).tolist()))
 
 

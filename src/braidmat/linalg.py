@@ -5,8 +5,10 @@ vectors are 1-D arrays.  All functions are pure: inputs are never mutated
 and results are freshly allocated, so values can be shared freely between
 threads.  The per-sample checks in ``verify`` form no dense matrix: they
 read the coefficient grids and their 2x2 orbit blocks (see
-``braid.orbit_blocks``), and exponentiate a stack of blocks.  ``kron``
-remains for callers and tests that want explicit tensor products.
+``braid.orbit_blocks``), and exponentiate a stack of blocks.  No command
+calls ``kron`` or ``schmidt_coefficients``: they are the tests' oracles
+for the block paths, kept here because span tracers wrap
+``verify.kron`` and ``entangle.schmidt_coefficients``.
 """
 
 from __future__ import annotations
@@ -67,15 +69,6 @@ def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarra
             f"kron result dimension {out_dim} exceeds the cap {max_dim}"
         )
     return np.kron(a, b)
-
-
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise absolute difference between two matrices."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.abs(a - b).max())
 
 
 def matrix_exponential(a: np.ndarray, max_norm: float = MAX_EXP_NORM) -> np.ndarray:

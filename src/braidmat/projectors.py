@@ -41,13 +41,6 @@ from .errors import DimensionError
 FamilyKind = Literal["unified", "Q"]
 
 
-def mirror_index(i: int, dim: int) -> int:
-    """Reflected index N+1-i (1-based); fixes the center of odd N."""
-    if not 1 <= i <= dim:
-        raise IndexError(f"index {i} out of range 1..{dim}")
-    return dim + 1 - i
-
-
 class ProjectorKey(NamedTuple):
     i: int
     j: int

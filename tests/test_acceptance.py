@@ -26,13 +26,18 @@ from braidmat import (
     exceptional_scan,
     free_parameter_count,
     make_parameters,
-    max_abs_diff,
     projector_checks,
     reference_checks,
     run_suite,
     scan_products,
 )
-from test_oracles import dagger, dense_generator, members, reference_projectors
+from test_oracles import (
+    dagger,
+    dense_generator,
+    max_abs_diff,
+    members,
+    reference_projectors,
+)
 
 SAMPLED_DIMS = (2, 4, 6, 8)
 SETS_PER_DIM = 20

@@ -15,7 +15,6 @@ from braidmat import (
     free_parameter_count,
     make_parameters,
     matrix_exponential,
-    max_abs_diff,
 )
 from braidmat import braid
 from braidmat.braid import reference_blocks
@@ -23,6 +22,7 @@ from test_oracles import (
     dagger,
     dense_generator,
     even_form_matrix,
+    max_abs_diff,
     members,
     reference_matrix,
     reference_phase_matrix,

@@ -312,6 +312,22 @@ def test_entangle_output(tmp_path):
     assert len(payload["records"]) == 4
 
 
+def test_entangle_emits_no_negative_zero(tmp_path):
+    # rank-1 states have entropy -(1 * log2 1) = -0.0 before the clamp
+    parameters = [
+        {"i": 1, "j": 1, "epsilon": "+", "value": 1.0},
+        {"i": 1, "j": 2, "epsilon": "-", "value": -0.7},
+    ]
+    config = write_config(tmp_path, braid_config(5, parameters=parameters))
+    out = tmp_path / "records.json"
+    assert main(["entangle", "--config", config, "--theta", "0.9", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "-0.0" not in text
+    records = json.loads(text)["records"]
+    assert sum(r["schmidt_rank"] == 1 for r in records) > 9
+    assert all(math.copysign(1, r["entropy"]) == 1 for r in records)
+
+
 def test_entangle_rejects_real_mode(tmp_path, capsys):
     config = write_config(tmp_path, braid_config(mode="real"))
     assert main(["entangle", "--config", config, "--theta", "0.5"]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,11 @@ def generic_family(dim):
     return BraidFamily.create(generic_params(dim))
 
 
+def is_positive_zero(x):
+    """True for 0.0 and False for -0.0, which compares equal to it."""
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
 def record_of(family, a, b, theta):
     """Record of |a,b> from the full scan, which lists states in (a, b) order."""
     return scan_products(family, theta)[(a - 1) * family.dim + (b - 1)]
@@ -42,7 +48,7 @@ def test_identity_theta_preserves_products():
     family = generic_family(3)
     record = record_of(family, 2, 3, 0.0)
     assert record.schmidt_rank == 1
-    assert record.entropy == 0.0
+    assert is_positive_zero(record.entropy)
     assert record.singular_values[0] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -61,7 +67,7 @@ def test_odd_central_state_is_conserved():
     for theta in (0.4, 1.7, -2.9):
         record = record_of(family, 2, 2, theta)
         assert record.schmidt_rank == 1
-        assert record.entropy == 0.0
+        assert is_positive_zero(record.entropy)
 
 
 def test_real_mode_rejected():
@@ -87,6 +93,21 @@ def test_norm_preservation_and_rank_bound(dim):
         squares = sum(v * v for v in record.singular_values)
         assert abs(squares - 1.0) <= 1e-10
         assert record.schmidt_rank in (1, 2)
+
+
+def test_scan_at_the_size_cap_allocates_no_dense_matrix():
+    # the dense 4096 x 4096 complex matrix at N = 64 alone takes 268 MB
+    family = generic_family(64)
+    tracemalloc.start()
+    try:
+        records = scan_products(family, 0.9)
+        exceptional = exceptional_scan(family, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 64 * 64
+    assert exceptional == []
+    assert peak < 32 * 2**20
 
 
 def test_entropy_even_in_theta():

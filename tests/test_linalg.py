@@ -8,15 +8,13 @@ from braidmat import (
     BraidFamily,
     DimensionError,
     SizeLimitError,
-    kron,
     make_parameters,
     matrix_exponential,
     matrix_from_json,
     matrix_to_json,
-    max_abs_diff,
-    schmidt_coefficients,
 )
-from test_oracles import dagger, dense_generator
+from braidmat.linalg import kron, schmidt_coefficients
+from test_oracles import dagger, dense_generator, max_abs_diff
 
 
 def series_exp(a, terms=80):

@@ -7,13 +7,15 @@ build-vs-exp half of ``check_exponential`` multiply and exponentiate the
 2x2 orbit blocks; ``projector_checks`` reads the projector algebra off
 the two members of each mirror pair and the Hermitian check off the
 weights; the reference family and its composition law live on 2x2 orbit
-blocks; ``exceptional_scan`` and ``detect_period`` read the grids and
-``make_parameters`` expands the canonical values by index folding.  The
-dense computations they replace live on here as oracles: the full
-N^3 x N^3 Kronecker products, dense N^2 x N^2 products, adjoints and
-exponentials, the member-level products, including the all-pairs
-orthogonality loop, the dense reference pair and matrix, and the
-per-cell canonical-class loop.  They are compared with the structured
+blocks; ``scan_products`` and ``exceptional_scan`` read the Schmidt data
+off one column of an orbit block per state, ``detect_period`` compares
+orbit blocks and ``make_parameters`` expands the canonical values by
+index folding.  The dense computations they replace live on here as
+oracles: the full N^3 x N^3 Kronecker products, dense N^2 x N^2 products,
+adjoints and exponentials, the member-level products, including the
+all-pairs orthogonality loop, the dense reference pair and matrix, the
+SVD of every column of the dense matrix, and the per-cell
+canonical-class loop.  They are compared with the structured
 kernels on random draws, symmetry overrides, and negative controls, so
 the fast paths never check themselves.
 
@@ -25,12 +27,15 @@ here from the index data alone, never through the family builder, and
 pin it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from braidmat import (
     BraidFamily,
     ConstructionError,
+    DimensionError,
     DomainError,
     ProjectorFamily,
     canonical_keys,
@@ -39,11 +44,9 @@ from braidmat import (
     check_exponential,
     check_factorization,
     check_unitarity,
-    kron,
+    degenerate_classes,
     make_parameters,
     matrix_exponential,
-    max_abs_diff,
-    mirror_index,
     normalized_residual,
     projector_checks,
     projector_family,
@@ -56,13 +59,29 @@ from braidmat.braid import (
     pattern_grids,
     reference_blocks,
 )
-from braidmat.entangle import detect_period, exceptional_scan
-from braidmat.linalg import MAX_EXP_NORM
+from braidmat.entangle import RANK_TOL, detect_period, exceptional_scan, scan_products
+from braidmat.linalg import MAX_EXP_NORM, as_matrix, kron, schmidt_coefficients
 from braidmat.verify import PROJECTOR_TOL, exchange_residual
 
 # Structured and dense residuals sum the same few products in another
 # order; residuals are normalized to a scale of at least 1.
 ORACLE_TOL = 8 * np.finfo(float).eps
+
+
+def max_abs_diff(a, b):
+    """Largest entrywise absolute difference between two matrices."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return float(np.abs(a - b).max())
+
+
+def mirror_index(i, dim):
+    """Reflected index N+1-i (1-based); fixes the center of odd N."""
+    if not 1 <= i <= dim:
+        raise IndexError(f"index {i} out of range 1..{dim}")
+    return dim + 1 - i
 
 
 def dagger(a):
@@ -699,6 +718,65 @@ def test_exceptional_scan_matches_the_dense_columns(dim):
         assert min(abs(diag[mid - 1, mid - 1]), abs(anti[mid - 1, mid - 1])) > 0.4
         assert (mid, mid) in exceptional_scan(family, 1.0)
         assert exceptional_scan(family, 1.0) == dense_exceptional(family, 1.0)
+
+
+# LAPACK's singular values of a dense column are themselves off by up to
+# 2.5 eps (5.6e-16 over about 17000 random records at N <= 9), while the
+# closed form is |d|, |e| or hypot(|d|, |e|) to about an ulp.  The entropy
+# moves by up to 2 / ln 2 times the error of each value.
+SCHMIDT_TOL = 4 * np.finfo(float).eps
+ENTROPY_TOL = 12 * np.finfo(float).eps
+
+
+def dense_records(family, theta):
+    """(a, b, singular values, entropy, Schmidt rank) of every column of
+    the dense matrix, from the SVD of its N x N reshaping.  The entropy is
+    clamped at zero: under symmetry overrides the squares of a column's
+    values need not sum to one."""
+    matrix = family.matrix(theta)
+    dim = family.dim
+    for col in range(dim * dim):
+        values = schmidt_coefficients(matrix[:, col], dim, dim)
+        probs = values**2
+        probs = probs[probs > 0]
+        entropy = max(float(-(probs * np.log2(probs)).sum()), 0.0)
+        a, b = divmod(col, dim)
+        yield a + 1, b + 1, values, entropy, int((values > RANK_TOL).sum())
+
+
+def assert_scan_matches_the_dense_svd(family, theta):
+    records = scan_products(family, theta)
+    expected = list(dense_records(family, theta))
+    assert len(records) == len(expected)
+    for record, (a, b, values, entropy, rank) in zip(records, expected):
+        assert (record.a, record.b, record.schmidt_rank) == (a, b, rank)
+        assert len(record.singular_values) == family.dim
+        assert np.abs(np.subtract(record.singular_values, values)).max() <= SCHMIDT_TOL
+        assert abs(record.entropy - entropy) <= ENTROPY_TOL
+    assert exceptional_scan(family, theta) == dense_exceptional(family, theta)
+
+
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_scan_products_matches_the_dense_svd(dim):
+    rng = np.random.default_rng(9000 + dim)
+    # with centre=True the odd-N centre's d and a differ from d + a
+    for overrides, centre in ((0, False), (2, False), (0, True), (2, True)):
+        family = random_family(dim, "unitary", rng, overrides, centre)
+        for theta in (0.0, rng.uniform(-1, 1), 0.9):
+            assert_scan_matches_the_dense_svd(family, theta)
+        assert len(exceptional_scan(family, 0.0)) == dim * dim
+    # class (1, 1) degenerate: d * theta = pi swaps its states with their
+    # mirrors, d * theta = 2 pi conserves them
+    theta = 0.8
+    for multiple, kind in ((1, "swapped"), (2, "conserved")):
+        keys = canonical_keys(dim)
+        values = dict(zip(keys, rng.uniform(-2, 2, len(keys))))
+        values[(1, 1, +1)] = values[(1, 1, -1)] + multiple * math.pi / theta
+        params = make_parameters(dim, "unitary", values)
+        assert ((1, 1), kind) in degenerate_classes(params, theta)
+        family = BraidFamily.create(params)
+        assert_scan_matches_the_dense_svd(family, theta)
+        assert (1, dim) in exceptional_scan(family, theta)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

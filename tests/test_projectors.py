@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from braidmat import (
-    DimensionError,
-    ProjectorKey,
+from braidmat import DimensionError, ProjectorKey, projector_family
+from test_oracles import (
+    braid_term,
+    dagger,
+    image_vector,
     max_abs_diff,
+    members,
     mirror_index,
-    projector_family,
 )
-from test_oracles import braid_term, dagger, image_vector, members
 
 ALGEBRA_TOL = 1e-14
 

@@ -1,7 +1,7 @@
 """Property tests for the orbit-block layout of the coefficient grids, for
-the pair-level projector, reference and composition checks against
-their dense oracles, and for the command-line JSON writer against
-``json.dumps(indent=2)``."""
+the closed-form Schmidt records and the pair-level projector, reference
+and composition checks against their dense oracles, and for the
+command-line JSON writer against ``json.dumps(indent=2)``."""
 
 import json
 import math
@@ -28,6 +28,7 @@ from braidmat.braid import _pattern_matrix, block_grids, orbit_blocks  # noqa: E
 from braidmat.cli import _json_text  # noqa: E402
 from test_oracles import (  # noqa: E402
     ORACLE_TOL,
+    assert_scan_matches_the_dense_svd,
     dense_composition_residual,
     dense_reference_residuals,
     member_level_residuals,
@@ -37,12 +38,11 @@ VALUE = st.floats(-2, 2, allow_nan=False)
 
 
 @st.composite
-def grids(draw):
-    """Side length and the coefficient or generator grids of a random
-    family: N <= 9, either mode, up to two symmetry overrides anywhere and
-    possibly one on the odd-N centre."""
+def families(draw, modes=("real", "unitary")):
+    """A random family: N <= 9, one of ``modes``, up to two symmetry
+    overrides anywhere and possibly one on the odd-N centre."""
     dim = draw(st.integers(2, 9))
-    mode = draw(st.sampled_from(["real", "unitary"]))
+    mode = draw(st.sampled_from(modes))
     keys = canonical_keys(dim)
     values = dict(zip(keys, draw(st.lists(VALUE, min_size=len(keys), max_size=len(keys)))))
     index, sign = st.integers(1, dim), st.sampled_from([1, -1])
@@ -50,11 +50,17 @@ def grids(draw):
     if dim % 2 and draw(st.booleans()):
         mid = (dim + 1) // 2
         overrides.append((mid, mid, draw(sign), draw(VALUE)))
-    params = make_parameters(dim, mode, values, overrides=tuple(overrides))
-    family = BraidFamily.create(params)
+    return BraidFamily.create(make_parameters(dim, mode, values, overrides=tuple(overrides)))
+
+
+@st.composite
+def grids(draw):
+    """Side length and the coefficient or generator grids of a random
+    family."""
+    family = draw(families())
     if draw(st.booleans()):
-        return dim, family.generator()
-    return dim, family.grids(draw(st.floats(-1, 1, allow_nan=False)))
+        return family.dim, family.generator()
+    return family.dim, family.grids(draw(st.floats(-1, 1, allow_nan=False)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,6 +86,15 @@ def test_orbit_blocks_restrict_the_pattern_matrix_and_invert(case):
     back_diag, back_anti = block_grids(blocks, dim)
     assert np.array_equal(back_diag, folded_diag)
     assert np.array_equal(back_anti, folded_anti)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    families(modes=("unitary",)),
+    st.one_of(st.just(0.0), st.floats(-1, 1, allow_nan=False)),
+)
+def test_schmidt_records_match_the_dense_svd(family, theta):
+    assert_scan_matches_the_dense_svd(family, theta)
 
 
 # Entries of modulus 0 or 1 and dyadic weights keep both the pair-level

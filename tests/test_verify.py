@@ -20,11 +20,10 @@ from braidmat import (
     check_factorization,
     check_unitarity,
     make_parameters,
-    max_abs_diff,
     reference_checks,
     run_suite,
 )
-from test_oracles import dagger, dense_reference_residuals
+from test_oracles import dagger, dense_reference_residuals, max_abs_diff
 
 
 def random_family(dim, mode, seed):
