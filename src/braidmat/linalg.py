@@ -5,7 +5,8 @@ vectors are 1-D arrays.  All functions are pure: inputs are never mutated
 and results are freshly allocated, so values can be shared freely between
 threads.  The per-sample checks in ``verify`` form no dense matrix: they
 read the coefficient grids and their 2x2 orbit blocks (see
-``braid.orbit_blocks``), and exponentiate a stack of blocks.  No command
+``braid.orbit_blocks``), and exponentiate the generator's stack of blocks
+at three angles in one grouped call.  No command
 calls ``kron`` or ``schmidt_coefficients``: they are the tests' oracles
 for the block paths, kept here because span tracers wrap
 ``verify.kron`` and ``entangle.schmidt_coefficients``.
@@ -78,33 +79,46 @@ def matrix_exponential(a: np.ndarray, max_norm: float = MAX_EXP_NORM) -> np.ndar
     0.5, the series is summed by Horner's rule, and the result is squared
     back up.  Backward error stays around 1e-12 (relative, max-norm) for
     1-norms up to ``max_norm``; larger inputs raise AccuracyError rather
-    than silently degrade.  A stack (..., n, n) is scaled as one, by the
-    largest 1-norm of its matrices.
+    than silently degrade.  A stack (K, n, n) is scaled as one, by the
+    largest 1-norm of its matrices.  With four or more axes, as in
+    (G, K, n, n), the first axis indexes G such stacks, each scaled by
+    its own largest 1-norm with its own number of squarings, so each one
+    comes out byte for byte as from its own call.  They are checked in
+    order, and the first bad one raises the error its own call would.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionError(f"expected square matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
-    norm = float(np.abs(a).sum(axis=-2).max())
-    if norm > max_norm:
-        raise AccuracyError(
-            f"matrix 1-norm {norm:.3g} exceeds {max_norm:.3g}; "
-            "accuracy is not guaranteed"
-        )
-    squarings = 0
-    if norm > _EXP_SCALE_TARGET:
-        squarings = int(math.ceil(math.log2(norm / _EXP_SCALE_TARGET)))
-    eye = np.eye(a.shape[-1], dtype=np.result_type(a.dtype, np.float64))
-    scaled = (a / (2.0 ** squarings)).astype(eye.dtype)
-    out = np.broadcast_to(eye, a.shape).copy()
+    n = a.shape[-1]
+    groups = a.reshape((a.shape[0] if a.ndim >= 4 else 1), -1, n, n)
+    finite = np.isfinite(groups).all(axis=(1, 2, 3))
+    norms = np.abs(groups).sum(axis=-2).max(axis=(1, 2))
+    squarings = np.zeros(len(groups), dtype=int)
+    for g, (ok, norm) in enumerate(zip(finite, norms.tolist())):
+        if not ok:
+            raise ValueError("matrix has non-finite entries")
+        if norm > max_norm:
+            raise AccuracyError(
+                f"matrix 1-norm {norm:.3g} exceeds {max_norm:.3g}; "
+                "accuracy is not guaranteed"
+            )
+        if norm > _EXP_SCALE_TARGET:
+            squarings[g] = math.ceil(math.log2(norm / _EXP_SCALE_TARGET))
+    eye = np.eye(n, dtype=np.result_type(a.dtype, np.float64))
+    scaled = (groups / (2.0 ** squarings)[:, None, None, None]).astype(eye.dtype)
+    out = np.broadcast_to(eye, groups.shape).copy()
     for k in range(_EXP_TAYLOR_TERMS, 0, -1):
-        out = eye + (scaled @ out) / k
-    for _ in range(squarings):
-        out = out @ out
+        # eye + (scaled @ out) / k, in place on the product
+        out = scaled @ out
+        out /= k
+        out += eye
+    for step in range(squarings.max()):
+        live = squarings > step
+        square = out[live]
+        out[live] = square @ square
     if not np.isfinite(out).all():
         raise AccuracyError("matrix exponential overflowed")
-    return out
+    return out.reshape(a.shape)
 
 
 def schmidt_coefficients(v: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

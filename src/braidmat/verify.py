@@ -13,6 +13,7 @@ bit-identical reports on any platform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -91,70 +92,85 @@ _R12 = ((0, 1), [1, 0, 3, 2])
 _R23 = ((1, 2), [2, 3, 0, 1])
 
 
-def _on_slots(grid: np.ndarray, axes: tuple[int, int]) -> np.ndarray:
-    """grid evaluated at the ``axes`` indices of each slot's row, as a
-    (4, N, N, N) broadcastable array over columns (p, q, r)."""
-    flip = slice(None, None, -1)
-    views = np.stack(
-        [
-            grid[tuple(flip if flips[k] else slice(None) for k in axes)]
-            for flips in _SLOT_FLIPS
-        ]
-    )
-    return views[..., None] if axes == (0, 1) else views[:, None]
+# Side lengths are capped (braid.MAX_SIDE), so the cache stays small; its
+# arrays are shared by every caller and therefore read-only.
+@functools.lru_cache(maxsize=None)
+def _slot_layout(dim: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """What ``exchange_residual`` needs of the side length alone.
 
-
-def _triple_slots(word: list, dim: int) -> np.ndarray:
-    """Slot coefficients of every column of a product of R12/R23 factors.
-
-    ``word`` lists ((axes, partner), (diag, anti)) in the order the factors
-    act, rightmost matrix first.  Slot g of column x holds the entry on
-    row g(x); R on a pair maps a slot to itself (diagonal coefficient)
-    and to its partner (antidiagonal coefficient), both read at the
-    destination row.
+    For R12 and R23, a (4, N, N) array: entry [g, x, y] is the flat index
+    into an N x N grid of the row of slot g on the pair's axes, for the
+    columns whose indices on those axes are (x, y).  At odd N, also
+    (g, h, positions) for each slot pair h < g, in the order the fold
+    applies them: the flat column positions where slots g and h land on
+    one row.  Any two slots differ in the flips of two axes, so they
+    coincide exactly where both axes hold the self-mirrored centre index.
     """
-    dtype = np.result_type(*(g for _, grids in word for g in grids))
-    slots = np.zeros((4, dim, dim, dim), dtype=dtype)
-    slots[0] = 1.0
-    for (axes, partner), (diag, anti) in word:
-        slots = _on_slots(diag, axes) * slots + _on_slots(anti, axes) * slots[partner]
-    return slots
-
-
-def _merge_coincident(slots: np.ndarray, dim: int) -> np.ndarray:
-    """Fold slots that land on the same row of their column into the first
-    of them, so that each row carries its full entry.  Rows coincide only
-    when the flipped indices are the self-mirrored centre of odd N."""
-    index = np.indices((dim, dim, dim))
-    rows = [
-        np.ravel_multi_index(
-            tuple(np.where(f, dim - 1 - ix, ix) for f, ix in zip(flips, index)),
-            (dim, dim, dim),
+    ix = np.arange(dim)
+    flipped = (ix, ix[::-1])
+    pairs = []
+    for axes, _ in (_R12, _R23):
+        index = np.stack(
+            [
+                flipped[flips[axes[0]]][:, None] * dim + flipped[flips[axes[1]]]
+                for flips in _SLOT_FLIPS
+            ]
         )
-        for flips in _SLOT_FLIPS
-    ]
-    merged = slots.copy()
-    for g in range(1, 4):
-        for h in range(g):
-            same = rows[g] == rows[h]
-            merged[h] += np.where(same, merged[g], 0.0)
-            merged[g] = np.where(same, 0.0, merged[g])
-    return merged
+        index.flags.writeable = False
+        pairs.append(index)
+    merges = []
+    if dim % 2:
+        centre = np.array([dim // 2])
+        for g in range(1, 4):
+            for h in range(g):
+                ranges = [
+                    centre if fg != fh else ix
+                    for fg, fh in zip(_SLOT_FLIPS[g], _SLOT_FLIPS[h])
+                ]
+                positions = np.ravel_multi_index(np.ix_(*ranges), (dim,) * 3).ravel()
+                positions.flags.writeable = False
+                merges.append((g, h, positions))
+    return pairs[0], pairs[1], tuple(merges)
 
 
 def exchange_residual(t: tuple, s: tuple, p: tuple) -> float:
     """Normalized residual of R12(t) R23(s) R12(t') against R23(t') R12(s)
     R23(t), given the (diagonal, antidiagonal) grids of R(t), R(s), R(t').
 
-    Each column of either side has at most four nonzero entries (the
-    slots), so the comparison costs O(N^3) instead of the O(N^9) of dense
-    (N^3 x N^3) products, and gives the same residual up to rounding.
+    Each column (p, q, r) of either side has at most four nonzero
+    entries, on the rows of its four slots, so the comparison costs
+    O(N^3) instead of the O(N^9) of dense (N^3 x N^3) products, and gives
+    the same residual up to rounding.  Slot g of column x holds the entry
+    on row g(x); R on a pair maps a slot to itself (diagonal coefficient)
+    and to its partner (antidiagonal coefficient), both read at the
+    destination row.  The six grids are gathered onto the slots with one
+    indexing per pair, through the side length's cached ``_slot_layout``.
+    At odd N, slots that land on one row of their column (only at the
+    self-mirrored centre) are then folded into the first of them, so that
+    each row carries its full entry.
     """
     dim = len(t[0])
-    lhs = _triple_slots([(_R12, p), (_R23, s), (_R12, t)], dim)
-    rhs = _triple_slots([(_R23, t), (_R12, s), (_R23, p)], dim)
-    if dim % 2:
-        lhs, rhs = _merge_coincident(lhs, dim), _merge_coincident(rhs, dim)
+    index12, index23, merges = _slot_layout(dim)
+    grids = np.stack([g.ravel() for pair in (t, s, p) for g in pair])
+    # factor k of (t, s, p) reads rows 2k (diagonal) and 2k + 1 (antidiagonal)
+    on12 = grids.take(index12, axis=1)[..., None]
+    on23 = grids.take(index23, axis=1)[:, :, None]
+
+    def product(word: tuple) -> np.ndarray:
+        # word lists (slot coefficients, pair, factor) in the order the
+        # factors act, rightmost matrix first
+        slots = np.zeros((4, dim, dim, dim), dtype=grids.dtype)
+        slots[0] = 1.0
+        for on, (_, partner), k in word:
+            slots = on[2 * k] * slots + on[2 * k + 1] * slots[partner]
+        flat = slots.reshape(4, -1)
+        for g, h, positions in merges:
+            flat[h, positions] += flat[g, positions]
+            flat[g, positions] = 0.0
+        return slots
+
+    lhs = product(((on12, _R12, 2), (on23, _R23, 1), (on12, _R12, 0)))
+    rhs = product(((on23, _R23, 0), (on12, _R12, 1), (on23, _R23, 2)))
     return normalized_residual(lhs, rhs)
 
 
@@ -290,13 +306,16 @@ def check_exponential(
     independent of the closed form of ``grids``.  The second part
     substitutes E for the built matrices at (theta, theta/2) and reruns
     the triple product on its grids, using exp(x * X (x) I) = E(x) (x) I.
+    E at theta, theta/2 and 3 theta/2 comes from one grouped call: each
+    stack is scaled on its own, as by its own call, and the first bad
+    one in that order raises, before R(theta) is built.
     """
     x = orbit_blocks(*family.generator())
-    e_t = matrix_exponential(theta * x)
-    direct = normalized_residual(_blocks(family, theta), e_t)
     half = theta / 2.0
-    e_h = matrix_exponential(half * x)
-    e_s = matrix_exponential((theta + half) * x)
+    e_t, e_h, e_s = matrix_exponential(
+        np.stack([c * x for c in (theta, half, theta + half)])
+    )
+    direct = normalized_residual(_blocks(family, theta), e_t)
     exchange = exchange_residual(*(block_grids(e, family.dim) for e in (e_t, e_s, e_h)))
     return CheckResult(
         name="exponential",

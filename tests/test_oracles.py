@@ -17,7 +17,10 @@ all-pairs orthogonality loop, the dense reference pair and matrix, the
 SVD of every column of the dense matrix, and the per-cell
 canonical-class loop.  They are compared with the structured
 kernels on random draws, symmetry overrides, and negative controls, so
-the fast paths never check themselves.
+the fast paths never check themselves.  The slot kernels as they ran
+before ``verify`` cached its per-N slot layout, and the exponential that
+scaled every stack as one, pin the current kernels exactly: same bytes,
+same residuals, same errors.
 
 Every projector family member is built from its image vector and weight.
 The per-kind index formulas of the paper (elementary half-terms, the
@@ -33,6 +36,7 @@ import numpy as np
 import pytest
 
 from braidmat import (
+    AccuracyError,
     BraidFamily,
     ConstructionError,
     DimensionError,
@@ -55,6 +59,7 @@ from braidmat import (
 from braidmat import braid, verify
 from braidmat.braid import (
     _pattern_matrix,
+    block_grids,
     orbit_blocks,
     pattern_grids,
     reference_blocks,
@@ -138,6 +143,116 @@ def dense_exchange_residual(r_t, r_s, r_p, dim):
     lhs = kron(r_t, eye) @ kron(eye, r_s) @ kron(r_p, eye)
     rhs = kron(eye, r_p) @ kron(r_s, eye) @ kron(eye, r_t)
     return normalized_residual(lhs, rhs)
+
+
+# The slot kernels as ``exchange_residual`` ran them before its per-N
+# layout: every call rebuilds each slot view of every grid and the row of
+# every slot.  They pin the cached layout exactly, not just to rounding.
+SLOT_FLIPS = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+R12 = ((0, 1), [1, 0, 3, 2])
+R23 = ((1, 2), [2, 3, 0, 1])
+
+
+def on_slots(grid, axes):
+    """grid evaluated at the ``axes`` indices of each slot's row, as a
+    (4, N, N, N) broadcastable array over columns (p, q, r)."""
+    flip = slice(None, None, -1)
+    views = np.stack(
+        [
+            grid[tuple(flip if flips[k] else slice(None) for k in axes)]
+            for flips in SLOT_FLIPS
+        ]
+    )
+    return views[..., None] if axes == (0, 1) else views[:, None]
+
+
+def triple_slots(word, dim):
+    """Slot coefficients of every column of a product of R12/R23 factors;
+    ``word`` lists ((axes, partner), (diag, anti)) rightmost matrix first."""
+    dtype = np.result_type(*(g for _, grids in word for g in grids))
+    slots = np.zeros((4, dim, dim, dim), dtype=dtype)
+    slots[0] = 1.0
+    for (axes, partner), (diag, anti) in word:
+        slots = on_slots(diag, axes) * slots + on_slots(anti, axes) * slots[partner]
+    return slots
+
+
+def merge_coincident(slots, dim):
+    """Fold slots that land on the same row of their column into the first
+    of them (only at the self-mirrored centre of odd N)."""
+    index = np.indices((dim, dim, dim))
+    rows = [
+        np.ravel_multi_index(
+            tuple(np.where(f, dim - 1 - ix, ix) for f, ix in zip(flips, index)),
+            (dim, dim, dim),
+        )
+        for flips in SLOT_FLIPS
+    ]
+    merged = slots.copy()
+    for g in range(1, 4):
+        for h in range(g):
+            same = rows[g] == rows[h]
+            merged[h] += np.where(same, merged[g], 0.0)
+            merged[g] = np.where(same, 0.0, merged[g])
+    return merged
+
+
+def slot_exchange_residual(t, s, p):
+    """``exchange_residual`` through the per-call slot kernels."""
+    dim = len(t[0])
+    lhs = triple_slots([(R12, p), (R23, s), (R12, t)], dim)
+    rhs = triple_slots([(R23, t), (R12, s), (R23, p)], dim)
+    if dim % 2:
+        lhs, rhs = merge_coincident(lhs, dim), merge_coincident(rhs, dim)
+    return normalized_residual(lhs, rhs)
+
+
+def one_scaling_exponential(a, max_norm=MAX_EXP_NORM):
+    """``matrix_exponential`` before grouping: any stack is scaled as one,
+    by the largest 1-norm of its matrices."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise DimensionError(f"expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    norm = float(np.abs(a).sum(axis=-2).max())
+    if norm > max_norm:
+        raise AccuracyError(
+            f"matrix 1-norm {norm:.3g} exceeds {max_norm:.3g}; "
+            "accuracy is not guaranteed"
+        )
+    squarings = 0
+    if norm > 0.5:
+        squarings = int(math.ceil(math.log2(norm / 0.5)))
+    eye = np.eye(a.shape[-1], dtype=np.result_type(a.dtype, np.float64))
+    scaled = (a / (2.0 ** squarings)).astype(eye.dtype)
+    out = np.broadcast_to(eye, a.shape).copy()
+    for k in range(18, 0, -1):
+        out = eye + (scaled @ out) / k
+    for _ in range(squarings):
+        out = out @ out
+    if not np.isfinite(out).all():
+        raise AccuracyError("matrix exponential overflowed")
+    return out
+
+
+def three_call_exponential_residuals(family, theta):
+    """(build_vs_exp, exp_exchange) of ``check_exponential`` from one
+    exponential call per angle, in the order theta, theta/2, 3 theta/2,
+    with the build compared right after the first, and the slot kernels."""
+    x = orbit_blocks(*family.generator())
+    e_t = one_scaling_exponential(theta * x)
+    direct = normalized_residual(orbit_blocks(*family.grids(theta)), e_t)
+    half = theta / 2.0
+    e_h = one_scaling_exponential(half * x)
+    e_s = one_scaling_exponential((theta + half) * x)
+    grids = (block_grids(e, family.dim) for e in (e_t, e_s, e_h))
+    return direct, slot_exchange_residual(*grids)
+
+
+def same_bytes(a, b):
+    """Equal shape, dtype and bytes (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def pairwise_orthogonality(members):
@@ -384,6 +499,9 @@ def test_structured_exchange_matches_dense_oracle(dim, mode):
         )
         assert abs(braid.residual - expected) <= ORACLE_TOL
         assert braid.passed == (expected <= braid.tolerance)
+        assert braid.residual == slot_exchange_residual(
+            *(family.grids(x) for x in (theta, theta + theta_prime, theta_prime))
+        )
 
         exponential = check_exponential(family, theta)
         x = dense_generator(family)
@@ -830,3 +948,140 @@ def test_matrix_exponential_matches_scipy_expm(norm):
         expected = linalg.expm(a)
         error = np.abs(matrix_exponential(a) - expected).max()
         assert error / max(1.0, np.abs(expected).max()) <= 1e-12
+
+
+def with_norm(a, norm):
+    """``a`` scaled so that the largest 1-norm of its matrices is ``norm``."""
+    return a * (norm / np.abs(a).sum(axis=-2).max())
+
+
+def first_error(call, *args):
+    """(type, message) of what ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_grouped_exponential_equals_separate_stack_calls(dtype):
+    rng = np.random.default_rng(4100)
+    groups = rng.standard_normal((5, 6, 3, 3)).astype(dtype)
+    if dtype is complex:
+        groups += 1j * rng.standard_normal(groups.shape)
+    # no squaring, an all-zero group, then one, four and eight squarings
+    norms = (0.3, 0.0, 0.9, 7.5, 99.0)
+    groups = np.stack([with_norm(g, n) if n else 0.0 * g for g, n in zip(groups, norms)])
+    got = matrix_exponential(groups)
+    assert got.shape == groups.shape
+    for stack, out in zip(groups, got):
+        assert same_bytes(out, matrix_exponential(stack))
+        assert same_bytes(out, one_scaling_exponential(stack))
+    assert same_bytes(got[1], np.broadcast_to(np.eye(3), (6, 3, 3)).astype(dtype))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+@pytest.mark.parametrize("mode", ["real", "unitary"])
+def test_grouped_generator_exponentials_equal_the_three_calls(dim, mode):
+    rng = np.random.default_rng(4200 + dim)
+    family = random_family(dim, mode, rng, 1, dim % 2 == 1)
+    x = orbit_blocks(*family.generator())
+    for theta in (*rng.uniform(-1, 1, 3), 0.0, -7.0):
+        half = theta / 2.0
+        coefficients = (theta, half, theta + half)
+        got = matrix_exponential(np.stack([c * x for c in coefficients]))
+        for c, out in zip(coefficients, got):
+            assert same_bytes(out, one_scaling_exponential(c * x))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (9, 9), (7, 2, 2), (4, 5, 5)])
+@pytest.mark.parametrize("norm", [0.0, 0.2, 0.5, 3.0, 60.0, 0.999 * MAX_EXP_NORM])
+def test_matrix_and_stack_exponentials_are_unchanged(shape, norm):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1] + int(norm))
+    real = rng.standard_normal(shape)
+    for a in (real, real + 1j * rng.standard_normal(shape)):
+        a = with_norm(a, norm) if norm else 0.0 * a
+        assert same_bytes(matrix_exponential(a), one_scaling_exponential(a))
+
+
+@pytest.mark.parametrize(
+    "norms",
+    [
+        (1.0, 150.0, 120.0),  # two over the cap: the first one is named
+        (120.0, 150.0, 1.0),
+        (1.0, math.inf, 150.0),  # non-finite before over the cap
+        (1.0, 150.0, math.nan),  # over the cap before non-finite
+        (math.nan, 1.0, 1.0),
+    ],
+)
+def test_grouped_exponential_raises_what_the_first_bad_call_raised(norms):
+    # a stack of two matrices whose entries all equal n: 1-norm 2n
+    groups = np.stack([np.full((2, 2, 2), n) for n in norms])
+    expected = next(
+        e for e in (first_error(one_scaling_exponential, g) for g in groups) if e
+    )
+    assert first_error(matrix_exponential, groups) == expected
+
+
+def declared_message_change(family, theta):
+    """The one case whose error message differs from the three calls'
+    sequence: in real mode, exp(theta X) succeeds, building R(theta) hits
+    the |theta| > 50 guard, and exp(3 theta/2 X) is over the norm cap,
+    which the single grouped call now reports first."""
+    x = orbit_blocks(*family.generator())
+    norm_t, norm_s = (
+        float(np.abs(c * x).sum(axis=-2).max()) for c in (theta, theta + theta / 2.0)
+    )
+    return (
+        family.mode == "real"
+        and abs(theta) > 50
+        and norm_t <= MAX_EXP_NORM < norm_s
+    )
+
+
+@pytest.mark.parametrize("mode", ["real", "unitary"])
+@pytest.mark.parametrize("scale", [0.01, 0.6, 1.0, 40.0, 1e300])
+@pytest.mark.parametrize(
+    "theta", [0.3, -2.0, 40.0, 60.0, -75.0, 1e308, math.inf, -math.inf, math.nan]
+)
+def test_check_exponential_raises_as_the_three_calls_did(mode, scale, theta):
+    dim = 3
+    keys = canonical_keys(dim)
+    rng = np.random.default_rng(4300)
+    values = dict(zip(keys, scale * rng.uniform(0.5, 2, len(keys))))
+    family = BraidFamily.create(make_parameters(dim, mode, values))
+    # overflow to inf is part of the inputs here: compare the errors the
+    # library raises, not numpy's floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = first_error(three_call_exponential_residuals, family, theta)
+        got = first_error(check_exponential, family, theta)
+        declared = declared_message_change(family, theta)
+    if expected is None:
+        assert got is None
+        check = check_exponential(family, theta)
+        direct, exchange = three_call_exponential_residuals(family, theta)
+        assert check.context["build_vs_exp_residual"] == direct
+        assert check.context["exp_exchange_residual"] == exchange
+    elif declared:
+        assert got[0] is expected[0] is AccuracyError
+        assert "exceeds 50.0 in real mode" in expected[1]
+        assert got[1].startswith("matrix 1-norm ")
+    else:
+        assert got == expected
+
+
+def test_declared_message_change_is_pinned():
+    # generator blocks of 1-norm 1.5: at theta = 60 the 1-norm is 90 for
+    # theta and 135 for 3 theta / 2
+    params = make_parameters(2, "real", {(1, 1, +1): 1.5, (1, 1, -1): 1.5})
+    family = BraidFamily.create(params)
+    assert declared_message_change(family, 60.0)
+    assert first_error(three_call_exponential_residuals, family, 60.0) == (
+        AccuracyError,
+        "|theta| = 60 exceeds 50.0 in real mode (overflow guard)",
+    )
+    assert first_error(check_exponential, family, 60.0) == (
+        AccuracyError,
+        "matrix 1-norm 135 exceeds 100; accuracy is not guaranteed",
+    )

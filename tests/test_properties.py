@@ -1,7 +1,9 @@
 """Property tests for the orbit-block layout of the coefficient grids, for
-the closed-form Schmidt records and the pair-level projector, reference
-and composition checks against their dense oracles, and for the
-command-line JSON writer against ``json.dumps(indent=2)``."""
+the exchange and exponential checks against the per-call slot kernels and
+the one-scaling exponential, for the closed-form Schmidt records and the
+pair-level projector, reference and composition checks against their
+dense oracles, and for the command-line JSON writer against
+``json.dumps(indent=2)``."""
 
 import json
 import math
@@ -12,12 +14,15 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from braidmat import (  # noqa: E402
     BraidFamily,
     ProjectorFamily,
     canonical_keys,
+    check_braid,
     check_composition_law,
+    check_exponential,
     make_parameters,
     projector_checks,
     projector_family,
@@ -26,22 +31,26 @@ from braidmat import (  # noqa: E402
 )
 from braidmat.braid import _pattern_matrix, block_grids, orbit_blocks  # noqa: E402
 from braidmat.cli import _json_text  # noqa: E402
+from braidmat.verify import exchange_residual  # noqa: E402
 from test_oracles import (  # noqa: E402
     ORACLE_TOL,
     assert_scan_matches_the_dense_svd,
+    decoupled,
     dense_composition_residual,
     dense_reference_residuals,
     member_level_residuals,
+    slot_exchange_residual,
+    three_call_exponential_residuals,
 )
 
 VALUE = st.floats(-2, 2, allow_nan=False)
 
 
 @st.composite
-def families(draw, modes=("real", "unitary")):
-    """A random family: N <= 9, one of ``modes``, up to two symmetry
-    overrides anywhere and possibly one on the odd-N centre."""
-    dim = draw(st.integers(2, 9))
+def families(draw, modes=("real", "unitary"), max_dim=9):
+    """A random family: N <= ``max_dim``, one of ``modes``, up to two
+    symmetry overrides anywhere and possibly one on the odd-N centre."""
+    dim = draw(st.integers(2, max_dim))
     mode = draw(st.sampled_from(modes))
     keys = canonical_keys(dim)
     values = dict(zip(keys, draw(st.lists(VALUE, min_size=len(keys), max_size=len(keys)))))
@@ -86,6 +95,42 @@ def test_orbit_blocks_restrict_the_pattern_matrix_and_invert(case):
     back_diag, back_anti = block_grids(blocks, dim)
     assert np.array_equal(back_diag, folded_diag)
     assert np.array_equal(back_anti, folded_anti)
+
+
+ANGLE = st.floats(-1, 1, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(max_dim=11), st.booleans(), ANGLE, ANGLE)
+def test_exchange_checks_equal_the_slot_kernels(family, negative, theta, theta_prime):
+    # the negative control decouples one entry from its mirror orbit
+    if negative:
+        family = decoupled(family)
+    grids = (family.grids(x) for x in (theta, theta + theta_prime, theta_prime))
+    braid = check_braid(family, theta, theta_prime)
+    assert braid.residual == slot_exchange_residual(*grids)
+    exponential = check_exponential(family, theta)
+    direct, exchange = three_call_exponential_residuals(family, theta)
+    assert exponential.context["build_vs_exp_residual"] == direct
+    assert exponential.context["exp_exchange_residual"] == exchange
+
+
+@st.composite
+def raw_grids(draw):
+    """Three (diagonal, antidiagonal) pairs of arbitrary N x N values,
+    N <= 11, real or complex."""
+    dim = draw(st.integers(2, 11))
+    values = arrays(np.float64, (6, dim, dim), elements=st.floats(-4, 4))
+    grids = draw(values)
+    if draw(st.booleans()):
+        grids = grids + 1j * draw(values)
+    return (grids[0], grids[1]), (grids[2], grids[3]), (grids[4], grids[5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_grids())
+def test_exchange_residual_equals_the_slot_kernels_on_any_grids(grids):
+    assert exchange_residual(*grids) == slot_exchange_residual(*grids)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import braidmat
 from braidmat import braid, verify
 from braidmat import (
     BraidFamily,
@@ -61,6 +66,42 @@ def test_braid_negative_control():
     result = check_braid(broken, 0.63, -0.41)
     assert not result.passed
     assert result.residual > 1e-3
+
+
+def test_import_builds_no_slot_layout():
+    # the per-N slot layout is built by the first exchange check at that
+    # N, never at import; the names span tracers wrap stay attributes
+    src = str(Path(braidmat.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import braidmat\n"
+        "from braidmat import verify\n"
+        "assert verify._slot_layout.cache_info().currsize == 0\n"
+        "names = ('kron', 'matrix_exponential', 'check_braid', 'check_unitarity',\n"
+        "         'check_factorization', 'check_exponential',\n"
+        "         'check_composition_law')\n"
+        "assert all(callable(getattr(verify, name)) for name in names)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True
+    )
+
+
+def test_slot_layout_is_built_once_per_side_length_and_read_only():
+    family = random_family(5, "real", 10)
+    check_braid(family, 0.3, 0.2)
+    layout = verify._slot_layout(5)
+    check_exponential(family, 0.4)
+    assert verify._slot_layout(5) is layout
+    index12, index23, merges = layout
+    assert index12.shape == index23.shape == (4, 5, 5)
+    # at odd N each of the six slot pairs meets on one line of columns
+    assert [(g, h, len(positions)) for g, h, positions in merges] == [
+        (g, h, 5) for g in range(1, 4) for h in range(g)
+    ]
+    arrays = [index12, index23] + [positions for *_, positions in merges]
+    assert not any(a.flags.writeable for a in arrays)
+    assert verify._slot_layout(4)[2] == ()
 
 
 # ------------------------------------------------------------ unitarity
