@@ -16,7 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -41,6 +41,9 @@ MODES = ("real", "unitary")
 
 # exp(m*theta) must stay inside double range for |m| up to ~10
 MAX_REAL_THETA = 50.0
+# exp(i*m*theta) needs the fractional bits of the phase m*theta; a double
+# past 2**52 has none left, so its phase modulo 2*pi is meaningless
+MAX_PHASE = 2.0**52
 
 # Largest side length N accepted anywhere.  A dense N^2 x N^2 complex128
 # matrix at N = 64 takes 268 MB, the same bound as linalg.MAX_KRON_DIM;
@@ -128,6 +131,11 @@ class ParameterSet:
     @property
     def symmetric(self) -> bool:
         return not self.overrides
+
+    @cached_property
+    def max_rate(self) -> float:
+        """max |m| over the whole exponent grid, overrides included."""
+        return float(np.abs(self.exponents).max())
 
     def value(self, i: int, j: int, epsilon: int) -> float:
         """Exponent at any (i, j, epsilon), 1-based."""
@@ -283,6 +291,12 @@ class BraidFamily:
                 )
             ep, em = np.exp(mp * theta), np.exp(mm * theta)
         else:
+            phase = self.params.max_rate * abs(theta)
+            if phase > MAX_PHASE:
+                raise AccuracyError(
+                    f"max|m|*|theta| = {phase:.3g} exceeds 2**52 in unitary "
+                    "mode: the phase has no fractional bits left (precision guard)"
+                )
             ep, em = np.exp(1j * mp * theta), np.exp(1j * mm * theta)
         if not (np.isfinite(ep).all() and np.isfinite(em).all()):
             raise AccuracyError("braid coefficients overflowed")

@@ -87,24 +87,50 @@ def _scalar_text(value) -> str | None:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _float_rows_text(rows: list | tuple, indent: str) -> str | None:
-    """Items of a list of equal-length rows of exact finite floats, laid
-    out by one %r template, or None when ``rows`` is not such a list.
+def _float_rows(rows, indent: str) -> tuple[str, list] | None:
+    """The %r template of one row at ``indent`` and the items of all rows,
+    when ``rows`` is a list of equal-length rows of exact finite floats;
+    otherwise None.
 
     ``%r`` is float.__repr__ only for exact floats, and prints NaN and
     infinities as Python does, not as JSON does; a finite sum proves every
     item finite, and an overflowing one falls back to the general path.
     """
+    widths = set(map(len, rows))
     flat = list(chain.from_iterable(rows))
-    if (len(set(map(len, rows))) != 1 or set(map(type, flat)) != {float}
-            or not math.isfinite(sum(flat))):
+    if len(widths) != 1 or set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
         return None
     inner = indent + "  "
-    row = "[" + inner + ("," + inner).join(["%r"] * len(rows[0])) + indent + "]"
-    return ("," + indent).join([row] * len(rows)) % tuple(flat)
+    return "[" + inner + ("," + inner).join(["%r"] * widths.pop()) + indent + "]", flat
+
+
+def _record_texts(records, keys: tuple, indent: str) -> list[str]:
+    """Texts of dicts that all have the key order ``keys``, formatted
+    column by column: each key's values across the records are one
+    ``_item_texts`` call, and one template per record puts them back."""
+    inner = indent + "  "
+    columns = [_item_texts(column, inner) for column in zip(*map(dict.values, records))]
+    heads = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    record = "{" + inner + ("," + inner).join(heads) + indent + "}"
+    return list(map(record.__mod__, zip(*columns)))
 
 
 def _item_texts(items, indent: str) -> list[str]:
+    """JSON texts of ``items`` at ``indent``.  Items that are all exact
+    finite floats, all exact ints, all equal-length rows of such floats,
+    or all dicts with one key order are formatted in one pass; anything
+    else goes item by item."""
+    kinds = set(map(type, items))
+    if kinds == {float} and math.isfinite(sum(items)):
+        return list(map(float.__repr__, items))
+    if kinds == {int}:
+        return list(map(int.__repr__, items))
+    if kinds <= {list, tuple} and (rows := _float_rows(items, indent)):
+        return list(map(rows[0].__mod__, map(tuple, items)))
+    if kinds == {dict}:
+        orders = set(map(tuple, items))
+        if len(orders) == 1 and (keys := orders.pop()):
+            return _record_texts(items, keys, indent)
     texts = list(map(_scalar_text, items))
     if None in texts:
         texts = [_json_text(item, indent) if text is None else text
@@ -116,8 +142,12 @@ def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for the acyclic
     payloads the commands emit; dict keys must be strings.
 
-    A list of scalars is joined in one pass, and a list of equal-length
-    rows of floats (``build``'s ``entries``) is formatted by one template.
+    A list of equal-length rows of floats (``build``'s ``entries``) is
+    laid out by one template and one ``%``.  Every other container goes
+    through ``_item_texts``, which formats a list of same-key dicts
+    (``entangle``'s records, ``verify``'s checks) column by column: all
+    of one key's values at once, so that a column of floats, of ints or
+    of float rows costs one pass instead of one call per number.
     """
     text = _scalar_text(value)
     if text is not None:
@@ -130,10 +160,13 @@ def _json_text(value, indent: str = "\n") -> str:
         texts = _item_texts(value.values(), inner)
         body = ("," + inner).join(map(": ".join, zip(keys, texts)))
         return "{" + inner + body + indent + "}"
-    body = None
+    rows = None
     if set(map(type, value)) <= {list, tuple}:
-        body = _float_rows_text(value, inner)
-    if body is None:
+        rows = _float_rows(value, inner)
+    if rows:
+        template, flat = rows
+        body = ("," + inner).join([template] * len(value)) % tuple(flat)
+    else:
         body = ("," + inner).join(_item_texts(value, inner))
     return "[" + inner + body + indent + "]"
 

@@ -282,6 +282,27 @@ def test_real_theta_overflow_guard():
     assert np.isfinite(unitary.matrix(51.0)).all()
 
 
+def test_unitary_phase_guard():
+    # one class at m = 0.5: the largest phase is |theta| / 2
+    params = make_parameters(4, "unitary", {(1, 1, +1): 0.5})
+    family = BraidFamily.create(params)
+    edge = 2.0**53  # phase exactly 2**52, the last one allowed
+    for theta in (edge, -edge):
+        assert all(np.isfinite(g).all() for g in family.grids(theta))
+    assert vars(params)["max_rate"] == 0.5  # computed once, then cached
+    for theta in (math.nextafter(edge, math.inf), -1e300, 1e300):
+        with pytest.raises(AccuracyError, match=r"exceeds 2\*\*52 in unitary mode"):
+            family.grids(theta)
+    # an override counts toward max|m|
+    overridden = make_parameters(4, "unitary", {}, overrides=((1, 2, -1, -3.0),))
+    assert overridden.max_rate == 3.0
+    with pytest.raises(AccuracyError):
+        BraidFamily.create(overridden).grids(2.0**51)
+    # the all-zero family has no phase to lose
+    zero = BraidFamily.create(make_parameters(4, "unitary", {}))
+    assert np.array_equal(zero.grids(1e308)[0], np.ones((4, 4)))
+
+
 # ------------------------------------------------------------ block structure
 
 

@@ -328,6 +328,36 @@ def test_entangle_emits_no_negative_zero(tmp_path):
     assert all(math.copysign(1, r["entropy"]) == 1 for r in records)
 
 
+@pytest.mark.parametrize("command", ["build", "entangle"])
+def test_phase_past_two_to_the_52_exits_two(tmp_path, capsys, command):
+    # max|m| * |theta| = 5e299, a phase with no fractional bits: without the
+    # guard this printed a meaningless entropy of 0.84
+    parameters = [{"i": 1, "j": 1, "epsilon": "+", "value": 0.5}]
+    config = write_config(tmp_path, braid_config(4, parameters=parameters))
+    assert main([command, "--config", config, "--theta", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds 2**52 in unitary mode" in captured.err
+
+
+def test_verify_phase_past_two_to_the_52_fails_with_the_reason(tmp_path):
+    parameters = [{"i": 1, "j": 1, "epsilon": "+", "value": 1e308}]
+    config = write_config(tmp_path, braid_config(4, parameters=parameters))
+    report_path = tmp_path / "report.json"
+    argv = ["verify", "--config", config, "--samples", "0", "--report", str(report_path)]
+    assert main(argv) == 1
+    failed = [c for c in json.loads(report_path.read_text())["checks"] if not c["passed"]]
+    assert sorted(c["name"] for c in failed) == [
+        "braid", "exponential", "factorization", "unitarity"
+    ]
+    for check in failed:
+        assert check["residual"] is None
+        error = check["context"]["error"]
+        # the exponential's norm cap fires before R(theta) is built
+        reason = "matrix 1-norm" if check["name"] == "exponential" else "exceeds 2**52"
+        assert reason in error
+
+
 def test_entangle_rejects_real_mode(tmp_path, capsys):
     config = write_config(tmp_path, braid_config(mode="real"))
     assert main(["entangle", "--config", config, "--theta", "0.5"]) == 2

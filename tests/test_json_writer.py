@@ -82,9 +82,46 @@ def test_float_rows_match_json(rows):
     assert _json_text({"entries": rows}) == oracle({"entries": rows})
 
 
+RECORDS = {
+    "single": [{"a": 1, "x": 0.5, "v": [0.5, 1.5]}],
+    "ints-floats": [{"a": 1, "x": 0.5}, {"a": -(2**70), "x": -0.0}],
+    "bool-in-int-column": [{"a": True}, {"a": 2}],
+    "intenum-in-int-column": [{"a": Level.LOW}, {"a": 2}],
+    "nan": [{"x": 0.5}, {"x": math.nan}],
+    "inf": [{"x": math.inf}, {"x": -math.inf}],
+    "float64": [{"x": 0.5}, {"x": np.float64(0.25)}],
+    "none": [{"x": 0.5}, {"x": None}],
+    "overflowing-sum": [{"x": 1e308}, {"x": 1e308}],
+    "list-and-tuple-rows": [{"v": [0.5, 1.0]}, {"v": (2.0, -0.0)}],
+    "ragged-rows": [{"v": [0.5, 1.0]}, {"v": [2.0]}],
+    "empty-rows": [{"v": []}, {"v": []}],
+    "nan-row": [{"v": [0.5, math.nan]}, {"v": [1.0, 2.0]}],
+    "int-rows": [{"t": (1, 2)}, {"t": (3, 4)}],
+    "strings": [{"s": "x"}, {"s": "caf\u00e9"}],
+    "permuted-keys": [{"a": 1, "b": 2.0}, {"b": 3.0, "a": 4}],
+    "other-keys": [{"a": 1}, {"a": 1, "b": 2}],
+    "empty-records": [{}, {}],
+    "nested": [{"d": {"p": 1, "q": 0.5}}, {"d": {"p": 2, "q": 1.5}}],
+    "nested-permuted": [{"d": {"p": 1, "q": 0.5}}, {"d": {"q": 1.5, "p": 2}}],
+    "percent-keys": [{"%": 1, "%s": 0.5, "a%%d": "%d"}, {"%": 2, "%s": 1.5, "a%%d": "%"}],
+    "tuple-of-records": ({"a": 1, "x": 0.5}, {"a": 2, "x": 1.5}),
+}
+
+
+@pytest.mark.parametrize("records", RECORDS.values(), ids=RECORDS.keys())
+def test_records_match_json(records):
+    assert _json_text(records) == oracle(records)
+    assert _json_text({"records": records}) == oracle({"records": records})
+    assert _json_text([records, records]) == oracle([records, records])
+
+
 def test_non_string_keys_and_unknown_types_raise_type_error():
     with pytest.raises(TypeError):
         _json_text({1: 2.0})
+    # json.dumps turns these keys into strings; the writer refuses them
+    for records in ([{1: 2.0}, {1: 3.0}], [{"a": 1}, {1: 2}], [{"a": {1: 2}}, {"a": {1: 3}}]):
+        with pytest.raises(TypeError):
+            _json_text(records)
     for value in (np.int64(3), {1.0}, object(), 1j):
         with pytest.raises(TypeError):
             oracle(value)
@@ -108,7 +145,9 @@ def capture_payloads(monkeypatch):
     return seen
 
 
-def write_config(tmp_path, dim, mode):
+def write_config(tmp_path, dim, mode, centre=False):
+    """A random config with one symmetry override: on row (N+1)/2, or on
+    the odd-N centre itself when ``centre`` is set."""
     rng = np.random.default_rng(100 * dim + len(mode))
     half = (dim + 1) // 2
     parameters = [
@@ -117,7 +156,8 @@ def write_config(tmp_path, dim, mode):
         for i, j, eps in canonical_keys(dim)
     ]
     config = {"N": dim, "mode": mode, "parameters": parameters,
-              "symmetry_overrides": [{"i": half, "j": 1, "epsilon": "-", "value": 0.25}]}
+              "symmetry_overrides": [{"i": half, "j": half if centre else 1,
+                                    "epsilon": "-", "value": 0.25}]}
     path = tmp_path / f"n{dim}-{mode}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
@@ -158,4 +198,25 @@ def test_build_n16_emits_json_dumps_text(tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     seen = capture_payloads(monkeypatch)
     assert main(["build", "--config", config, "--theta", "-0.61", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == oracle(seen[0]) + "\n"
+
+
+@pytest.mark.parametrize(
+    ("dim", "centre"), [(16, False), (9, True)], ids=["n16", "n9-centre-override"]
+)
+def test_entangle_emits_json_dumps_text(tmp_path, monkeypatch, dim, centre):
+    config = write_config(tmp_path, dim, "unitary", centre=centre)
+    out = tmp_path / "out.json"
+    seen = capture_payloads(monkeypatch)
+    assert main(["entangle", "--config", config, "--theta", "0.83", "--out", str(out)]) == 0
+    assert len(seen[0]["records"]) == dim * dim
+    assert out.read_text(encoding="utf-8") == oracle(seen[0]) + "\n"
+
+
+def test_verify_n8_report_emits_json_dumps_text(tmp_path, monkeypatch):
+    config = write_config(tmp_path, 8, "unitary")
+    out = tmp_path / "out.json"
+    seen = capture_payloads(monkeypatch)
+    argv = ["verify", "--config", config, "--samples", "2", "--seed", "3", "--report", str(out)]
+    assert main(argv) == 1  # the override is a negative control
     assert out.read_text(encoding="utf-8") == oracle(seen[0]) + "\n"

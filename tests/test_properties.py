@@ -3,7 +3,8 @@ the exchange and exponential checks against the per-call slot kernels and
 the one-scaling exponential, for the closed-form Schmidt records and the
 pair-level projector, reference and composition checks against their
 dense oracles, and for the command-line JSON writer against
-``json.dumps(indent=2)``."""
+``json.dumps(indent=2)``, on arbitrary nested payloads and on lists of
+same-key records."""
 
 import json
 import math
@@ -32,6 +33,7 @@ from braidmat import (  # noqa: E402
 from braidmat.braid import _pattern_matrix, block_grids, orbit_blocks  # noqa: E402
 from braidmat.cli import _json_text  # noqa: E402
 from braidmat.verify import exchange_residual  # noqa: E402
+from test_json_writer import Level  # noqa: E402
 from test_oracles import (  # noqa: E402
     ORACLE_TOL,
     assert_scan_matches_the_dense_svd,
@@ -231,3 +233,58 @@ payloads = st.recursive(
 @given(payloads)
 def test_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_ints = st.integers(min_value=-(2**70), max_value=2**70)
+# items that must leave a column of floats or ints to the item-by-item path
+odd_items = st.sampled_from(
+    [True, False, Level.LOW, np.float64(0.5), None, math.nan, math.inf, -math.inf]
+)
+
+
+def column_values(size: int, depth: int):
+    """Strategies for one key's values across ``size`` records."""
+    def column(items):
+        return st.lists(items, min_size=size, max_size=size)
+
+    width = st.integers(0, 3)
+    kinds = [
+        column(finite_floats),
+        column(json_ints),
+        column(st.one_of(finite_floats, json_ints, odd_items)),
+        # equal-length rows, lists or tuples, possibly empty
+        width.flatmap(lambda w: column(st.one_of(
+            st.lists(finite_floats, min_size=w, max_size=w),
+            st.tuples(*[finite_floats] * w),
+        ))),
+        column(st.lists(finite_floats, max_size=3)),  # ragged
+        width.flatmap(lambda w: column(  # NaN- or infinity-bearing rows
+            st.lists(st.floats(), min_size=w, max_size=w))),
+    ]
+    if depth < 2:
+        kinds.append(same_key_records(size, depth + 1))
+    return st.one_of(kinds)
+
+
+@st.composite
+def same_key_records(draw, size=None, depth=0):
+    """A list of dicts built from one key list, a column of values per key;
+    sometimes one record has its keys permuted."""
+    if size is None:
+        size = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.text(alphabet="ab%s", max_size=3), min_size=1,
+                         max_size=4, unique=True))
+    columns = [draw(column_values(size, depth)) for _ in keys]
+    records = [dict(zip(keys, values)) for values in zip(*columns)]
+    if len(keys) > 1 and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, size - 1))
+        records[k] = {key: records[k][key] for key in draw(st.permutations(keys))}
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_key_records())
+def test_writer_matches_json_dumps_on_same_key_records(records):
+    assert _json_text(records) == json.dumps(records, indent=2)
+    assert _json_text({"records": records}) == json.dumps({"records": records}, indent=2)
