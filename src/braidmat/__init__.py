@@ -15,7 +15,6 @@ from .braid import (
     ParameterSet,
     block_structure,
     canonical_keys,
-    free_parameter_count,
     make_parameters,
 )
 from .config import ReferenceConfig, load_config, parse_config
@@ -84,7 +83,6 @@ __all__ = [
     "degenerate_classes",
     "detect_period",
     "exceptional_scan",
-    "free_parameter_count",
     "load_config",
     "make_parameters",
     "matrix_exponential",

@@ -74,11 +74,6 @@ def canonical_keys(dim: int) -> tuple[ParamKey, ...]:
     return tuple(keys)
 
 
-def free_parameter_count(dim: int) -> int:
-    """N^2/2 free exponents for even N, (N+3)(N-1)/2 for odd N."""
-    return len(canonical_keys(dim))
-
-
 def _parse_value(raw: ParamValue) -> tuple[float, Fraction | None]:
     """Return (float value, exact rational or None).
 
@@ -155,21 +150,6 @@ class ParameterSet:
         ).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
-    def with_override(
-        self, i: int, j: int, epsilon: int, value: float
-    ) -> "ParameterSet":
-        """Copy with one raw grid entry patched after symmetry expansion.
-
-        This intentionally breaks the mirror constraint; the result is
-        flagged via ``overrides`` and is meant for negative controls.
-        """
-        return make_parameters(
-            self.dim,
-            self.mode,
-            self.values,
-            overrides=self.overrides + ((i, j, epsilon, float(value)),),
-        )
-
 
 def make_parameters(
     dim: int,
@@ -183,8 +163,8 @@ def make_parameters(
     given as +1/-1 or "+"/"-"; missing classes default to zero.  For odd
     dim the central class must be absent or zero.  The full exponent grid
     is populated through mirror symmetry, then any ``overrides`` are
-    patched in verbatim (see ParameterSet.with_override).  Every value,
-    overrides included, must be a finite number or a "p/q" string.
+    patched in verbatim.  Every value, overrides included, must be a
+    finite number or a "p/q" string.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")

@@ -56,18 +56,18 @@ def as_vector(v: Any) -> np.ndarray:
     return w
 
 
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b.
 
     Entry ((i*db + k), (j*db + l)) equals a[i, j] * b[k, l].  Raises
-    SizeLimitError when the product dimension would exceed ``max_dim``.
+    SizeLimitError when the product dimension would exceed MAX_KRON_DIM.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dim:
+    if out_dim > MAX_KRON_DIM:
         raise SizeLimitError(
-            f"kron result dimension {out_dim} exceeds the cap {max_dim}"
+            f"kron result dimension {out_dim} exceeds the cap {MAX_KRON_DIM}"
         )
     return np.kron(a, b)
 

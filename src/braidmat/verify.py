@@ -58,10 +58,16 @@ SUITES = (
 # default 1e-10 they give braid 1e-10, factorization 1e-11, unitarity
 # 1e-12, theta-reversal and composition 1e-13.  Projector algebra is
 # checked at a fixed 1e-14 regardless (the members are exact dyadics).
-_FACTORIZATION_SCALE = 0.1
-_UNITARITY_SCALE = 0.01
-_REVERSAL_SCALE = 0.001
-_COMPOSITION_SCALE = 0.001
+_SCALES = {
+    "braid": 1.0,
+    "unitarity": 0.01,
+    "theta_reversal": 0.001,
+    "factorization": 0.1,
+    "exponential": 1.0,
+    "composition": 0.001,
+}
+# the per-sample checks, in the order a sample runs them under suite "all"
+_SAMPLE_CHECKS = ("braid", "unitarity", "factorization", "exponential", "composition")
 PROJECTOR_TOL = 1e-14
 REFERENCE_GENERATOR_TOL = 1e-13
 
@@ -433,8 +439,11 @@ def run_suite(
     the config are applied to every draw so that negative controls stay in
     force.  Checks that cannot apply are skipped under suite "all"
     (unitarity in real mode, composition at odd side length) but surface
-    as failed results when requested explicitly.  Errors raised inside a
-    check become failed results instead of propagating.
+    as failed results when requested explicitly.  A reference config
+    (side length 2n) accepts only the suites "composition", "projectors"
+    and "all", and each of its samples draws only the composition points.
+    Errors raised inside a check become failed results instead of
+    propagating.
 
     Randomness: numpy Philox keyed by ``seed`` with a fixed draw order,
     so reports are bit-identical across runs and platforms.
@@ -447,149 +456,83 @@ def run_suite(
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be a finite number > 0, got {tol!r}")
-    if isinstance(config, ReferenceConfig):
-        return _run_reference_suite(config, suite, samples, seed, tol)
-    params = config
+    reference = isinstance(config, ReferenceConfig)
+    if reference and suite not in ("composition", "projectors", "all"):
+        raise ConfigError(
+            f"suite {suite!r} does not apply to the reference family; "
+            "use 'composition', 'projectors', or 'all'"
+        )
+    dim = 2 * config.n if reference else config.dim
+    mode = "reference" if reference else config.mode
+    # the per-sample checks to run; "projectors" selects none
+    if suite == "projectors":
+        names: tuple[str, ...] = ()
+    elif suite != "all":
+        names = (suite,)
+    elif reference:
+        names = ("composition",)
+    else:
+        names = tuple(
+            name
+            for name in _SAMPLE_CHECKS
+            if (name != "unitarity" or mode == "unitary")
+            and (name != "composition" or dim % 2 == 0)
+        )
     rng = np.random.Generator(np.random.Philox(seed))
-    keys = canonical_keys(params.dim)
-    run_braid = suite in ("braid", "all")
-    run_unitarity = suite == "unitarity" or (
-        suite == "all" and params.mode == "unitary"
-    )
-    run_fact = suite in ("factorization", "all")
-    run_exp = suite in ("exponential", "all")
-    run_comp = suite == "composition" or (suite == "all" and params.dim % 2 == 0)
     checks: list[CheckResult] = []
     if suite in ("projectors", "all"):
-        checks.extend(projector_checks(params.dim))
-        if params.dim % 2 == 0:
-            checks.extend(reference_checks(params.dim // 2))
+        checks.extend(projector_checks(dim))
+        if dim % 2 == 0:
+            checks.extend(reference_checks(dim // 2))
+    keys = () if reference else canonical_keys(dim)
     # with no per-sample check selected (suite "projectors") nothing is drawn
-    per_sample = run_braid or run_unitarity or run_fact or run_exp or run_comp
-    for sample in range(samples + 1 if per_sample else 0):
-        draws = rng.uniform(-2.0, 2.0, size=len(keys))
-        theta, theta_prime = rng.uniform(-1.0, 1.0, size=2)
-        z1, z2 = rng.uniform(-0.9, 0.9, size=2)
-        if sample == 0:
-            sampled = params
+    for sample in range(samples + 1 if names else 0):
+        ctx = {"sample": sample}
+        if reference:
+            z1, z2 = rng.uniform(-0.9, 0.9, size=2)
         else:
-            sampled = make_parameters(
-                params.dim,
-                params.mode,
-                dict(zip(keys, draws)),
-                overrides=params.overrides,
-            )
-        family = BraidFamily.create(sampled)
-        base_ctx = {"sample": sample, "parameter_digest": sampled.digest()}
-        if run_braid:
-            checks.append(
-                _guarded(
-                    check_braid, "braid", tol, base_ctx, family, theta, theta_prime
+            draws = rng.uniform(-2.0, 2.0, size=len(keys))
+            theta, theta_prime = rng.uniform(-1.0, 1.0, size=2)
+            z1, z2 = rng.uniform(-0.9, 0.9, size=2)
+            sampled = config
+            if sample > 0:
+                values = dict(zip(keys, draws))
+                sampled = make_parameters(dim, mode, values, overrides=config.overrides)
+            family = BraidFamily.create(sampled)
+            ctx["parameter_digest"] = sampled.digest()
+        for name in names:
+            check_tol = tol * _SCALES[name]
+            if name == "braid":
+                func, args = check_braid, (family, theta, theta_prime)
+            elif name == "unitarity":
+                func, args = check_unitarity, (family, theta)
+            elif name == "factorization":
+                func, args = check_factorization, (family, theta, theta_prime)
+            elif name == "exponential":
+                func, args = check_exponential, (family, theta)
+            elif dim % 2 == 0:
+                func, args = check_composition_law, (dim // 2, z1, z2)
+            else:
+                error = ConfigError(
+                    f"composition law needs an even side length (got N={dim})"
                 )
-            )
-        if run_unitarity:
-            result = _guarded(
-                check_unitarity,
-                "unitarity",
-                tol * _UNITARITY_SCALE,
-                base_ctx,
-                family,
-                theta,
-            )
+                checks.append(_failed(name, check_tol, error, **ctx))
+                continue
+            result = _guarded(func, name, check_tol, ctx, *args)
             checks.append(result)
             if "theta_reversal_residual" in result.context:
                 checks.append(
                     CheckResult(
                         name="theta_reversal",
                         residual=result.context["theta_reversal_residual"],
-                        tolerance=tol * _REVERSAL_SCALE,
-                        context=dict(base_ctx, theta=theta),
-                    )
-                )
-        if run_fact:
-            checks.append(
-                _guarded(
-                    check_factorization,
-                    "factorization",
-                    tol * _FACTORIZATION_SCALE,
-                    base_ctx,
-                    family,
-                    theta,
-                    theta_prime,
-                )
-            )
-        if run_exp:
-            checks.append(
-                _guarded(check_exponential, "exponential", tol, base_ctx, family, theta)
-            )
-        if run_comp:
-            if params.dim % 2 == 0:
-                checks.append(
-                    _guarded(
-                        check_composition_law,
-                        "composition",
-                        tol * _COMPOSITION_SCALE,
-                        base_ctx,
-                        params.dim // 2,
-                        z1,
-                        z2,
-                    )
-                )
-            else:
-                checks.append(
-                    _failed(
-                        "composition",
-                        tol * _COMPOSITION_SCALE,
-                        ConfigError(
-                            "composition law needs an even side length "
-                            f"(got N={params.dim})"
-                        ),
-                        **base_ctx,
+                        tolerance=tol * _SCALES["theta_reversal"],
+                        context=dict(ctx, theta=theta),
                     )
                 )
     checks.sort(key=lambda c: (c.name, c.context.get("sample", -1)))
     return VerificationReport(
-        dim=params.dim,
-        mode=params.mode,
-        suite=suite,
-        seed=seed,
-        tolerance=tol,
-        checks=tuple(checks),
-    )
-
-
-def _run_reference_suite(
-    config: ReferenceConfig, suite: str, samples: int, seed: int, tol: float
-) -> VerificationReport:
-    if suite not in ("composition", "projectors", "all"):
-        raise ConfigError(
-            f"suite {suite!r} does not apply to the reference family; "
-            "use 'composition', 'projectors', or 'all'"
-        )
-    rng = np.random.Generator(np.random.Philox(seed))
-    checks: list[CheckResult] = []
-    if suite in ("projectors", "all"):
-        checks.extend(projector_checks(2 * config.n))
-        checks.extend(reference_checks(config.n))
-    if suite in ("composition", "all"):
-        for sample in range(samples + 1):
-            z1, z2 = rng.uniform(-0.9, 0.9, size=2)
-            ctx = {"sample": sample}
-            checks.append(
-                _guarded(
-                    check_composition_law,
-                    "composition",
-                    tol * _COMPOSITION_SCALE,
-                    ctx,
-                    config.n,
-                    z1,
-                    z2,
-                )
-            )
-    checks.sort(key=lambda c: (c.name, c.context.get("sample", -1)))
-    return VerificationReport(
-        dim=2 * config.n,
-        mode="reference",
+        dim=dim,
+        mode=mode,
         suite=suite,
         seed=seed,
         tolerance=tol,

@@ -24,7 +24,6 @@ from braidmat import (
     degenerate_classes,
     detect_period,
     exceptional_scan,
-    free_parameter_count,
     make_parameters,
     projector_checks,
     reference_checks,
@@ -138,7 +137,7 @@ def test_criterion_2_projector_algebra():
 
 def test_criterion_3_parameter_counts():
     expected = {2: 2, 3: 6, 4: 8, 5: 16, 6: 18, 7: 30, 8: 32, 9: 48}
-    got = {dim: free_parameter_count(dim) for dim in expected}
+    got = {dim: len(canonical_keys(dim)) for dim in expected}
     ok = got == expected
     verdict(3, "free-parameter counts up to N=9", ok, f"{got}")
     assert ok
@@ -295,7 +294,9 @@ def test_criterion_9_periodicity():
 
 def test_criterion_10_negative_controls():
     rng = np.random.Generator(np.random.Philox(4000))
-    broken = random_parameters(4, "real", rng).with_override(1, 3, +1, 1.8)
+    p = random_parameters(4, "real", rng)
+    overrides = p.overrides + ((1, 3, +1, 1.8),)
+    broken = make_parameters(p.dim, p.mode, p.values, overrides=overrides)
     braid_residual = check_braid(BraidFamily.create(broken), 0.63, -0.41).residual
     braid_ok = braid_residual > 1e-3
     real_params = make_parameters(2, "real", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})

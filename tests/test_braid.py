@@ -12,7 +12,6 @@ from braidmat import (
     block_structure,
     canonical_keys,
     check_composition_law,
-    free_parameter_count,
     make_parameters,
     matrix_exponential,
 )
@@ -51,7 +50,6 @@ def coeffs(m_plus, m_minus, theta, unitary=False):
 def test_free_parameter_counts():
     for dim in range(2, 10):
         expected = dim * dim // 2 if dim % 2 == 0 else (dim + 3) * (dim - 1) // 2
-        assert free_parameter_count(dim) == expected
         assert len(canonical_keys(dim)) == expected
 
 
@@ -122,7 +120,8 @@ def test_exact_values_default_to_zero_only_when_every_value_is_exact():
 
 def test_override_breaks_symmetry_and_flags_it():
     params = random_params(4, "real", 5)
-    broken = params.with_override(1, 3, +1, 1.25)
+    overrides = params.overrides + ((1, 3, +1, 1.25),)
+    broken = make_parameters(params.dim, params.mode, params.values, overrides=overrides)
     assert not broken.symmetric
     assert broken.exact_values is None
     assert broken.value(1, 3, +1) == 1.25
@@ -328,7 +327,9 @@ def test_block_structure_reports_violation_without_raising():
 
 
 def test_block_structure_flags_asymmetry():
-    params = random_params(4, "real", 8).with_override(1, 3, +1, 2.2)
+    p = random_params(4, "real", 8)
+    overrides = p.overrides + ((1, 3, +1, 2.2),)
+    params = make_parameters(p.dim, p.mode, p.values, overrides=overrides)
     report = block_structure(BraidFamily.create(params).matrix(0.8), 4)
     assert not report.conforms
     assert report.max_diagonal_asymmetry > 1e-3

@@ -54,7 +54,7 @@ def test_kron_diagonal():
 
 def test_kron_size_cap():
     with pytest.raises(SizeLimitError):
-        kron(np.eye(100), np.eye(100), max_dim=4096)
+        kron(np.eye(100), np.eye(100))
 
 
 def test_kron_associative_exact():

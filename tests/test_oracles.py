@@ -322,7 +322,11 @@ def random_family(dim, mode, rng, overrides=0, centre=False):
 def decoupled(family):
     """Negative control: shift the (1, N, +) entry away from its orbit."""
     shifted = family.params.value(1, 1, +1) + 1.0
-    return BraidFamily.create(family.params.with_override(1, family.dim, +1, shifted))
+    p = family.params
+    overrides = p.overrides + ((1, family.dim, +1, shifted),)
+    return BraidFamily.create(
+        make_parameters(p.dim, p.mode, p.values, overrides=overrides)
+    )
 
 
 def positions(i, j, dim):

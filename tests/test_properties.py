@@ -2,9 +2,9 @@
 the exchange and exponential checks against the per-call slot kernels and
 the one-scaling exponential, for the closed-form Schmidt records and the
 pair-level projector, reference and composition checks against their
-dense oracles, and for the command-line JSON writer against
-``json.dumps(indent=2)``, on arbitrary nested payloads and on lists of
-same-key records."""
+dense oracles, for the check selection of ``run_suite``, and for the
+command-line JSON writer against ``json.dumps(indent=2)``, on arbitrary
+nested payloads and on lists of same-key records."""
 
 import json
 import math
@@ -19,7 +19,9 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from braidmat import (  # noqa: E402
     BraidFamily,
+    CheckResult,
     ProjectorFamily,
+    ReferenceConfig,
     canonical_keys,
     check_braid,
     check_composition_law,
@@ -28,6 +30,7 @@ from braidmat import (  # noqa: E402
     projector_checks,
     projector_family,
     reference_checks,
+    run_suite,
     verify,
 )
 from braidmat.braid import _pattern_matrix, block_grids, orbit_blocks  # noqa: E402
@@ -192,6 +195,57 @@ def test_reference_and_composition_residuals_equal_the_dense_oracle(n, z1, z2):
     assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
     block = check_composition_law(n, z1, z2).residual
     assert abs(block - dense_composition_residual(n, z1, z2)) <= ORACLE_TOL
+
+
+SAMPLES = st.integers(0, 2)
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+def sorted_union(config, suites, samples, seed):
+    """The checks of the single-suite reports, in report order."""
+    checks = [c for s in suites for c in run_suite(config, s, samples, seed).checks]
+    checks.sort(key=lambda c: (c.name, c.context.get("sample", -1)))
+    return json.dumps([c.to_json() for c in checks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(families(), st.booleans(), SAMPLES, SEEDS)
+def test_all_is_the_union_of_the_suites_that_apply(family, symmetric, samples, seed):
+    config = family.params
+    if symmetric:
+        config = make_parameters(config.dim, config.mode, config.values)
+    suites = ["braid", "factorization", "exponential", "projectors"]
+    if config.mode == "unitary":
+        suites.append("unitarity")
+    if config.dim % 2 == 0:
+        suites.append("composition")
+    report = run_suite(config, "all", samples, seed)
+    assert json.dumps(report.to_json()["checks"]) == sorted_union(
+        config, suites, samples, seed
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), SAMPLES, SEEDS)
+def test_reference_all_is_composition_and_projectors(n, samples, seed):
+    config = ReferenceConfig(n)
+    report = run_suite(config, "all", samples, seed)
+    assert json.dumps(report.to_json()["checks"]) == sorted_union(
+        config, ["composition", "projectors"], samples, seed
+    )
+    # each sample draws only its two composition points
+    rng = np.random.Generator(np.random.Philox(seed))
+    composition = run_suite(config, "composition", samples, seed).checks
+    assert len(composition) == samples + 1
+    for sample, check in enumerate(composition):
+        z1, z2 = rng.uniform(-0.9, 0.9, size=2)
+        expected = check_composition_law(n, z1, z2, tol=check.tolerance)
+        assert check.to_json() == CheckResult(
+            expected.name,
+            expected.residual,
+            expected.tolerance,
+            dict(sample=sample, **expected.context),
+        ).to_json()
 
 
 json_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

@@ -62,7 +62,11 @@ def test_braid_negative_control():
     # decoupling one mirror image violates the design constraint and
     # must visibly break the exchange identity
     family = random_family(4, "real", 1)
-    broken = BraidFamily.create(family.params.with_override(1, 3, +1, 1.9))
+    p = family.params
+    overrides = p.overrides + ((1, 3, +1, 1.9),)
+    broken = BraidFamily.create(
+        make_parameters(p.dim, p.mode, p.values, overrides=overrides)
+    )
     result = check_braid(broken, 0.63, -0.41)
     assert not result.passed
     assert result.residual > 1e-3
@@ -261,7 +265,9 @@ def test_run_suite_explicit_unitarity_on_real_mode_fails():
 
 
 def test_run_suite_negative_control_fails():
-    config = braid_config(4, "real").with_override(1, 3, +1, 1.5)
+    p = braid_config(4, "real")
+    overrides = p.overrides + ((1, 3, +1, 1.5),)
+    config = make_parameters(p.dim, p.mode, p.values, overrides=overrides)
     report = run_suite(config, suite="braid", samples=3)
     assert not report.passed
 
