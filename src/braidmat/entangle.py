@@ -51,8 +51,11 @@ _PERIOD_VERIFY_TOL = 1e-10
 class EntanglementRecord:
     """Schmidt data of one mapped basis state.
 
-    Entropy is Shannon entropy of the squared singular values in bits;
-    in unitary mode the squares sum to one.
+    ``singular_values`` holds the image's two largest singular values in
+    descending order (the second is 0.0 for a rank-1 image); the image
+    lies in a two-dimensional plane, so every other one is zero.  Entropy
+    is Shannon entropy of the squared singular values in bits; in unitary
+    mode the squares sum to one.
     """
 
     a: int
@@ -118,20 +121,20 @@ def scan_products(
     antidiagonal entries), whose singular values are |d| and |e|, sorted.
     On the odd-N centre row a~ = a and the image is the product
     |a> (x) (d|b> + e|b~>) (likewise on the centre column), with the single
-    value hypot(|d|, |e|).  The values are padded with zeros to length N.
+    value hypot(|d|, |e|) followed by 0.0.  Every record carries exactly
+    these two values: the image's other N - 2 are structural zeros.
     """
     require_mode(family, "unitary")
     dim = family.dim
     moduli = _column_moduli(family, theta)
-    values = np.zeros((dim * dim, dim))
-    values[:, :2] = np.sort(moduli, axis=1)[:, ::-1]
+    values = np.sort(moduli, axis=1)[:, ::-1]
     if dim % 2:
         line = np.zeros((dim, dim), dtype=bool)
         line[dim // 2] = line[:, dim // 2] = True
         line = line.ravel()
         values[line, 0] = np.hypot(moduli[line, 0], moduli[line, 1])
         values[line, 1] = 0.0
-    probs = values[:, :2] ** 2
+    probs = values**2
     logs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
     entropy = -(probs * logs).sum(axis=1)
     # a negative sum (squares past one under symmetry overrides) and the

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,84 @@ def test_entangle_emits_no_negative_zero(tmp_path):
     records = json.loads(text)["records"]
     assert sum(r["schmidt_rank"] == 1 for r in records) > 9
     assert all(math.copysign(1, r["entropy"]) == 1 for r in records)
+
+
+ULPS = 4 * np.finfo(float).eps
+
+# N = 3: class (1, 1) is the one off the centre lines; |1,2> and |3,2>
+# (class (1, 2)) sit on the centre column and |2,1>, |2,3> (class (2, 1))
+# on the centre row
+GOLDEN_N3 = braid_config(3, parameters=[
+    {"i": 1, "j": 1, "epsilon": "+", "value": 1},
+    {"i": 1, "j": 1, "epsilon": "-", "value": 0},
+    {"i": 1, "j": 2, "epsilon": "+", "value": 1},
+    {"i": 1, "j": 2, "epsilon": "-", "value": -1},
+    {"i": 2, "j": 1, "epsilon": "+", "value": 0.5},
+    {"i": 2, "j": 1, "epsilon": "-", "value": 0.5},
+])
+
+
+def golden_entangle(rank_two, exceptional):
+    """The N = 3 payload: the states in ``rank_two`` have moduli
+    cos(pi/8) and sin(pi/8), every other one the single value 1.0.  Floats
+    compare to within a few ulps, since they come through libm."""
+    c, s = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    pair = [c, s], -(c * c * math.log2(c * c) + s * s * math.log2(s * s)), 2
+    product = [1.0, 0.0], 0.0, 1
+    records = []
+    for a in range(1, 4):
+        for b in range(1, 4):
+            values, entropy, rank = pair if (a, b) in rank_two else product
+            records.append({
+                "a": a, "b": b,
+                "singular_values": pytest.approx(values, rel=0, abs=ULPS),
+                "entropy": pytest.approx(entropy, rel=0, abs=ULPS),
+                "schmidt_rank": rank,
+            })
+    return {"records": records, "exceptional": [list(state) for state in exceptional]}
+
+
+@pytest.mark.parametrize("theta, expected", [
+    # at pi/4 class (1, 1) (m+ - m- = 1) has moduli cos(pi/8), sin(pi/8);
+    # on the centre column class (1, 2) maps |1,2> to (d|1> + e|3>) (x) |2>,
+    # a product with the single value hypot(|d|, |e|) = 1 although |d| = |e|;
+    # class (2, 1) has m+ = m-, so its antidiagonal coefficient vanishes
+    ("pi/4", golden_entangle({(1, 1), (1, 3), (3, 1), (3, 3)},
+                             [(2, 1), (2, 2), (2, 3)])),
+    # theta = 0 is the identity: every image is its own basis state
+    ("0", golden_entangle(set(), [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])),
+])
+def test_entangle_golden_n3(tmp_path, theta, expected):
+    config = write_config(tmp_path, GOLDEN_N3)
+    out = tmp_path / "records.json"
+    assert main(["entangle", "--config", config, "--theta", theta, "--out", str(out)]) == 0
+    text = out.read_text()
+    payload = json.loads(text)
+    assert payload == expected
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_entangle_at_n64_writes_two_values_per_record(tmp_path):
+    # with the values padded to length N the same command peaked at 27.7 MB
+    dim = 64
+    parameters = [
+        {"i": i, "j": j, "epsilon": "+" if e > 0 else "-",
+         "value": (-1) ** k * (0.37 + 0.211 * k)}
+        for k, (i, j, e) in enumerate(canonical_keys(dim))
+    ]
+    config = write_config(tmp_path, braid_config(dim, parameters=parameters))
+    out = tmp_path / "records.json"
+    argv = ["entangle", "--config", config, "--theta", "0.9", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = json.loads(out.read_text())["records"]
+    assert len(records) == dim * dim
+    assert sum(len(r["singular_values"]) for r in records) == 2 * dim * dim
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("command", ["build", "entangle"])
