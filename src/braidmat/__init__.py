@@ -12,14 +12,12 @@ action on product states.
 from .braid import (
     BlockStructureReport,
     BraidFamily,
-    ParameterSet,
     block_structure,
     canonical_keys,
     make_parameters,
 )
 from .config import ReferenceConfig, load_config, parse_config
 from .entangle import (
-    EntanglementRecord,
     PeriodResult,
     degenerate_classes,
     detect_period,
@@ -64,9 +62,7 @@ __all__ = [
     "ConstructionError",
     "DimensionError",
     "DomainError",
-    "EntanglementRecord",
     "ModeError",
-    "ParameterSet",
     "PeriodResult",
     "ProjectorFamily",
     "ProjectorKey",

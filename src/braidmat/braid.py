@@ -1,4 +1,4 @@
-"""Parameter sets, braid-matrix families, generators, and the reference
+"""Braid-matrix families, their generators, and the reference
 single-parameter family.
 
 A family is a grid of exponents m(i, j, s) (s = +1 or -1) constant on
@@ -52,7 +52,7 @@ MAX_PHASE = 2.0**52
 # peaks at about 120 MB RSS, and an entangle scan allocates about 13 MB).
 MAX_SIDE = 64
 
-_EPS_FROM_LABEL = {"+": +1, "-": -1, +1: +1, -1: -1, 1: +1}
+_EPSILONS = {"+": +1, "-": -1, +1: +1, -1: -1}
 
 
 def canonical_keys(dim: int) -> tuple[ParamKey, ...]:
@@ -96,7 +96,9 @@ def _parse_value(raw: ParamValue) -> tuple[float, Fraction | None]:
     else:
         raise ConfigError(f"unsupported parameter value {raw!r}")
     try:
-        value = raw if exact is None else float(exact)
+        # a float subclass (numpy.float64) is stored as a plain float, so
+        # digest() hashes the same repr under every numpy version
+        value = float(raw if exact is None else exact)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -105,15 +107,17 @@ def _parse_value(raw: ParamValue) -> tuple[float, Fraction | None]:
 
 
 @dataclass(frozen=True, eq=False)
-class ParameterSet:
-    """Exponent grid for one braid family.
+class BraidFamily:
+    """One braid family: its exponent grid, evaluated as the braid matrix
+    at any spectral parameter.
 
     ``values`` holds the canonical free values; ``exponents`` is the full
     (2, N, N) grid expanded by mirror symmetry (sign index 0 is +, 1 is -).
     ``exact_values`` is populated only when every input value was exact
     (int, Fraction, or "p/q" string).  ``overrides`` records deliberate
     symmetry violations injected for negative-control experiments; any
-    override voids the mirror-symmetry guarantee.
+    override voids the mirror-symmetry guarantee.  Build one with
+    ``make_parameters`` or ``config.load_config``.
     """
 
     dim: int
@@ -122,6 +126,13 @@ class ParameterSet:
     exponents: np.ndarray = field(repr=False)
     exact_values: dict[ParamKey, Fraction] | None = field(repr=False)
     overrides: tuple[tuple[int, int, int, float], ...] = ()
+
+    @classmethod
+    def create(cls, family: "BraidFamily") -> "BraidFamily":
+        """Return ``family`` itself.  The benchmark harness still calls
+        this (``benchmarks/workloads.py``, ``benchmarks/setup_probe.py``)
+        and its tracer wraps it by name, so it stays while they do."""
+        return family
 
     @property
     def symmetric(self) -> bool:
@@ -150,17 +161,88 @@ class ParameterSet:
         ).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
+    @property
+    def basis(self) -> ProjectorFamily:
+        """The "unified" projector basis, built on first use and cached per
+        side length; ``matrix`` does not need it (O(N^2) floats)."""
+        return projector_family(self.dim, "unified")
+
+    def grids(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and antidiagonal coefficient grids (dim x dim) at theta.
+
+        diag(i,j) = (e(m+) + e(m-))/2 and anti(i,j) = (e(m+) - e(m-))/2
+        with e(m) = exp(m*theta) or exp(i*m*theta) depending on mode.
+        """
+        mp, mm = self.exponents
+        if self.mode == "real":
+            if abs(theta) > MAX_REAL_THETA:
+                raise AccuracyError(
+                    f"|theta| = {abs(theta):.3g} exceeds {MAX_REAL_THETA} "
+                    "in real mode (overflow guard)"
+                )
+            ep, em = np.exp(mp * theta), np.exp(mm * theta)
+        else:
+            phase = self.max_rate * abs(theta)
+            if phase > MAX_PHASE:
+                raise AccuracyError(
+                    f"max|m|*|theta| = {phase:.3g} exceeds 2**52 in unitary "
+                    "mode: the phase has no fractional bits left (precision guard)"
+                )
+            ep, em = np.exp(1j * mp * theta), np.exp(1j * mm * theta)
+        if not (np.isfinite(ep).all() and np.isfinite(em).all()):
+            raise AccuracyError("braid coefficients overflowed")
+        return 0.5 * (ep + em), 0.5 * (ep - em)
+
+    def matrix(self, theta: float) -> np.ndarray:
+        """Braid matrix at theta (dim^2 x dim^2): entry (i,j) of the grids
+        sits at ((i,j),(i,j)) (diagonal) and ((i,j),(i~,j~)) (antidiagonal)
+        of the product basis, and every other entry is zero.  Real mode
+        returns float64, unitary complex128; theta = 0 gives the identity.
+        """
+        return _pattern_matrix(*self.grids(theta))
+
+    def matrix_from_basis(self, theta: float) -> np.ndarray:
+        """Same matrix, rebuilt as the sum of c_k w_k v_k v_k^T over the
+        basis members, each scattered onto its mirror pair (r, r~), with
+        c_k = exp(m*theta) or exp(i*m*theta) read at the member's key.
+
+        Independent reference path used to cross-validate ``matrix``: it
+        calls neither ``grids`` nor ``_pattern_matrix``.
+        """
+        basis = self.basis
+        i, j, epsilon = np.array(basis.keys).T
+        m = self.exponents[(1 - epsilon) // 2, i - 1, j - 1]
+        rates = m if self.mode == "real" else 1j * m
+        terms = np.exp(rates * theta)[:, None, None] * basis.member_blocks()
+        size = len(basis)
+        r = np.arange(size) // 2
+        pair = np.stack([r, size - 1 - r], axis=1)
+        out = np.zeros((size, size), dtype=terms.dtype)
+        np.add.at(out, (pair[:, :, None], pair[:, None, :]), terms)
+        return out
+
+    def generator(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grids, laid out as in ``grids``, of the infinitesimal generator
+        X with matrix(theta) = exp(theta * X): (m+ + m-)/2 and (m+ - m-)/2,
+        times the imaginary unit in unitary mode, making X anti-Hermitian
+        (complex128); real mode returns real float64 grids.
+        """
+        mp, mm = self.exponents
+        unit = 1j if self.mode == "unitary" else 1.0
+        return unit * (0.5 * (mp + mm)), unit * (0.5 * (mp - mm))
+
 
 def make_parameters(
     dim: int,
     mode: Mode,
     values: Mapping[tuple, ParamValue],
     overrides: tuple[tuple[int, int, int, float], ...] = (),
-) -> ParameterSet:
-    """Build a ParameterSet from canonical free values.
+) -> BraidFamily:
+    """Build a braid family from canonical free values.
 
     Keys are (i, j, epsilon) with i, j at most ceil(dim/2) and epsilon
-    given as +1/-1 or "+"/"-"; missing classes default to zero.  For odd
+    given as +1/-1 or "+"/"-" (i and j ints, not bools; anything else
+    raises ConfigError); missing classes default to zero.  For odd
     dim the central class must be absent or zero.  The full exponent grid
     is populated through mirror symmetry, then any ``overrides`` are
     patched in verbatim.  Every value, overrides included, must be a
@@ -206,14 +288,15 @@ def make_parameters(
     fold = np.minimum(np.arange(dim), np.arange(dim)[::-1])
     grid = canonical[:, fold[:, None], fold]
     patched = []
-    for i, j, epsilon, raw_value in overrides:
+    for *raw_key, raw_value in overrides:
+        i, j, epsilon = _normalize_key(tuple(raw_key))
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ConfigError(f"override indices ({i},{j}) out of range 1..{dim}")
         value, _ = _parse_value(raw_value)
-        grid[0 if epsilon == +1 else 1, i - 1, j - 1] = value
+        grid[(1 - epsilon) // 2, i - 1, j - 1] = value
         patched.append((i, j, epsilon, value))
     grid.setflags(write=False)
-    return ParameterSet(
+    return BraidFamily(
         dim=dim,
         mode=mode,
         values=parsed,
@@ -223,102 +306,25 @@ def make_parameters(
     )
 
 
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _normalize_key(raw_key: tuple) -> ParamKey:
+    """(i, j, epsilon) of a parameter or override key: i and j must be
+    ints (not bools), epsilon +1/-1 or "+"/"-".  Anything else raises
+    ConfigError; nothing is truncated or coerced."""
     try:
         i, j, eps = raw_key
-        return int(i), int(j), _EPS_FROM_LABEL[eps]
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"malformed parameter key {raw_key!r}") from exc
-
-
-@dataclass(frozen=True, eq=False)
-class BraidFamily:
-    """A parameter set bound to its projector basis; evaluates the braid
-    matrix at any spectral parameter."""
-
-    params: ParameterSet
-
-    @classmethod
-    def create(cls, params: ParameterSet) -> "BraidFamily":
-        return cls(params=params)
-
-    @property
-    def basis(self) -> ProjectorFamily:
-        """The "unified" projector basis, built on first use and cached per
-        side length; ``matrix`` does not need it (O(N^2) floats)."""
-        return projector_family(self.dim, "unified")
-
-    @property
-    def dim(self) -> int:
-        return self.params.dim
-
-    @property
-    def mode(self) -> Mode:
-        return self.params.mode
-
-    def grids(self, theta: float) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and antidiagonal coefficient grids (dim x dim) at theta.
-
-        diag(i,j) = (e(m+) + e(m-))/2 and anti(i,j) = (e(m+) - e(m-))/2
-        with e(m) = exp(m*theta) or exp(i*m*theta) depending on mode.
-        """
-        mp, mm = self.params.exponents
-        if self.mode == "real":
-            if abs(theta) > MAX_REAL_THETA:
-                raise AccuracyError(
-                    f"|theta| = {abs(theta):.3g} exceeds {MAX_REAL_THETA} "
-                    "in real mode (overflow guard)"
-                )
-            ep, em = np.exp(mp * theta), np.exp(mm * theta)
-        else:
-            phase = self.params.max_rate * abs(theta)
-            if phase > MAX_PHASE:
-                raise AccuracyError(
-                    f"max|m|*|theta| = {phase:.3g} exceeds 2**52 in unitary "
-                    "mode: the phase has no fractional bits left (precision guard)"
-                )
-            ep, em = np.exp(1j * mp * theta), np.exp(1j * mm * theta)
-        if not (np.isfinite(ep).all() and np.isfinite(em).all()):
-            raise AccuracyError("braid coefficients overflowed")
-        return 0.5 * (ep + em), 0.5 * (ep - em)
-
-    def matrix(self, theta: float) -> np.ndarray:
-        """Braid matrix at theta (dim^2 x dim^2): entry (i,j) of the grids
-        sits at ((i,j),(i,j)) (diagonal) and ((i,j),(i~,j~)) (antidiagonal)
-        of the product basis, and every other entry is zero.  Real mode
-        returns float64, unitary complex128; theta = 0 gives the identity.
-        """
-        return _pattern_matrix(*self.grids(theta))
-
-    def matrix_from_basis(self, theta: float) -> np.ndarray:
-        """Same matrix, rebuilt as the sum of c_k w_k v_k v_k^T over the
-        basis members, each scattered onto its mirror pair (r, r~), with
-        c_k = exp(m*theta) or exp(i*m*theta) read at the member's key.
-
-        Independent reference path used to cross-validate ``matrix``: it
-        calls neither ``grids`` nor ``_pattern_matrix``.
-        """
-        basis = self.basis
-        i, j, epsilon = np.array(basis.keys).T
-        m = self.params.exponents[(1 - epsilon) // 2, i - 1, j - 1]
-        rates = m if self.mode == "real" else 1j * m
-        terms = np.exp(rates * theta)[:, None, None] * basis.member_blocks()
-        size = len(basis)
-        r = np.arange(size) // 2
-        pair = np.stack([r, size - 1 - r], axis=1)
-        out = np.zeros((size, size), dtype=terms.dtype)
-        np.add.at(out, (pair[:, :, None], pair[:, None, :]), terms)
-        return out
-
-    def generator(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grids, laid out as in ``grids``, of the infinitesimal generator
-        X with matrix(theta) = exp(theta * X): (m+ + m-)/2 and (m+ - m-)/2,
-        times the imaginary unit in unitary mode, making X anti-Hermitian
-        (complex128); real mode returns real float64 grids.
-        """
-        mp, mm = self.params.exponents
-        unit = 1j if self.mode == "unitary" else 1.0
-        return unit * (0.5 * (mp + mm)), unit * (0.5 * (mp - mm))
+    if not (_is_int(i) and _is_int(j)):
+        raise ConfigError(f"parameter key {raw_key!r}: i and j must be integers")
+    if not ((isinstance(eps, str) or _is_int(eps)) and eps in _EPSILONS):
+        raise ConfigError(
+            f"parameter key {raw_key!r}: epsilon must be +1, -1, '+' or '-'"
+        )
+    return i, j, _EPSILONS[eps]
 
 
 def _pattern_matrix(diag: np.ndarray, anti: np.ndarray) -> np.ndarray:
@@ -504,8 +510,7 @@ def reference_blocks(n: int, z: float) -> np.ndarray:
     return np.eye(2) + z * _reference_regrouping(n)[0]
 
 
-def require_mode(params_or_family, mode: Mode) -> None:
-    """Raise ModeError unless the object is in the requested mode."""
-    actual = getattr(params_or_family, "mode")
-    if actual != mode:
-        raise ModeError(f"operation requires {mode} mode, got {actual} mode")
+def require_mode(family: BraidFamily, mode: Mode) -> None:
+    """Raise ModeError unless the family is in the requested mode."""
+    if family.mode != mode:
+        raise ModeError(f"operation requires {mode} mode, got {family.mode} mode")

@@ -18,7 +18,6 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .braid import BraidFamily
 from .config import ReferenceConfig, load_config
 from .entangle import detect_period, exceptional_scan, scan_products
 from .errors import BraidmatError, ConfigError
@@ -188,8 +187,7 @@ def _require_braid_config(config, command: str):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    params = _require_braid_config(load_config(args.config), "build")
-    family = BraidFamily.create(params)
+    family = _require_braid_config(load_config(args.config), "build")
     _emit(matrix_to_json(family.matrix(args.theta)), args.out)
     return 0
 
@@ -208,21 +206,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_entangle(args: argparse.Namespace) -> int:
-    params = _require_braid_config(load_config(args.config), "entangle")
-    family = BraidFamily.create(params)
-    records = scan_products(family, args.theta)
-    exceptional = exceptional_scan(family, args.theta)
+    family = _require_braid_config(load_config(args.config), "entangle")
     payload = {
-        "records": [r.to_json() for r in records],
-        "exceptional": [[a, b] for a, b in exceptional],
+        "records": scan_products(family, args.theta),
+        "exceptional": [[a, b] for a, b in exceptional_scan(family, args.theta)],
     }
     _emit(payload, args.out)
     return 0
 
 
 def cmd_period(args: argparse.Namespace) -> int:
-    params = _require_braid_config(load_config(args.config), "period")
-    _emit(detect_period(params).to_json(), None)
+    family = _require_braid_config(load_config(args.config), "period")
+    _emit(detect_period(family).to_json(), None)
     return 0
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .braid import MAX_SIDE, ParameterSet, make_parameters
+from .braid import MAX_SIDE, BraidFamily, make_parameters
 from .errors import ConfigError
 
 
@@ -41,11 +41,11 @@ class ReferenceConfig:
             raise ConfigError(f"reference side length {2 * self.n} exceeds {MAX_SIDE}")
 
 
-Config = Union[ParameterSet, ReferenceConfig]
+Config = Union[BraidFamily, ReferenceConfig]
 
 
 def parse_config(obj: object) -> Config:
-    """Validate a decoded JSON object into a ParameterSet or ReferenceConfig."""
+    """Validate a decoded JSON object into a BraidFamily or ReferenceConfig."""
     if not isinstance(obj, dict):
         raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
     if obj.get("reference"):

@@ -3,9 +3,10 @@
 Every basis state |a,b> is mapped into the two-dimensional plane spanned
 by itself and its mirror partner |a~,b~>, so the Schmidt rank of the
 image is 1 or 2 and the entanglement entropy is at most one bit.  The
-records are therefore read off one column of a 2x2 orbit block
-(``braid.orbit_blocks``) per state, in closed form: no dense matrix and
-no singular value decomposition.
+records are therefore read off the two coefficient grids
+(``BraidFamily.grids``), one diagonal and one antidiagonal entry per
+state, in closed form: no dense matrix and no singular value
+decomposition.
 
 A basis state is *exceptional* when the braid matrix conserves its
 status as a basis product: the image is, up to a global phase, again a
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .braid import BraidFamily, ParameterSet, canonical_keys, orbit_blocks, require_mode
+from .braid import BraidFamily, canonical_keys, orbit_blocks, require_mode
 from .errors import AccuracyError
 # unused here but stays a module attribute: span tracers wrap
 # ``entangle.schmidt_coefficients``.
@@ -45,33 +46,6 @@ GENERICITY_TOL = 1e-6
 
 _PERIOD_PROBES = (0.37, 1.51)
 _PERIOD_VERIFY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EntanglementRecord:
-    """Schmidt data of one mapped basis state.
-
-    ``singular_values`` holds the image's two largest singular values in
-    descending order (the second is 0.0 for a rank-1 image); the image
-    lies in a two-dimensional plane, so every other one is zero.  Entropy
-    is Shannon entropy of the squared singular values in bits; in unitary
-    mode the squares sum to one.
-    """
-
-    a: int
-    b: int
-    singular_values: tuple[float, ...]
-    entropy: float
-    schmidt_rank: int
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "singular_values": list(self.singular_values),
-            "entropy": self.entropy,
-            "schmidt_rank": self.schmidt_rank,
-        }
 
 
 @dataclass(frozen=True)
@@ -100,29 +74,30 @@ class PeriodResult:
 
 def _column_moduli(family: BraidFamily, theta: float) -> np.ndarray:
     """(N^2, 2) moduli of the two entries of every column of the braid
-    matrix, in (a, b) order: the diagonal entry, then the antidiagonal one
-    on the mirror row.  Column r of block r is [d_r, a_r~] and column r~,
-    read from the mirror row up, [d_r~, a_r]; the odd-N centre column
-    holds the one entry d + a of its (d + a) I block, and a zero."""
-    blocks = np.abs(orbit_blocks(*family.grids(theta)))
-    moduli = np.empty((family.dim**2, 2))
-    moduli[::-1][: len(blocks)] = blocks[:, ::-1, 1]
-    # written last, column 0 of the centre block wins
-    moduli[: len(blocks)] = blocks[:, :, 0]
+    matrix, in (a, b) order: the diagonal entry d_r, then the antidiagonal
+    one a_r~ on the mirror row r~ = N^2-1-r.  The odd-N centre column is
+    its own mirror and holds the one entry d + a, and a zero."""
+    diag, anti = (grid.ravel() for grid in family.grids(theta))
+    moduli = np.abs(np.stack([diag, anti[::-1]], axis=1))
+    if diag.size % 2:
+        centre = diag.size // 2
+        moduli[centre] = np.abs(diag[centre] + anti[centre]), 0.0
     return moduli
 
 
-def scan_products(
-    family: BraidFamily, theta: float
-) -> list[EntanglementRecord]:
-    """Schmidt data for every product basis state, in (a, b) order.
+def scan_products(family: BraidFamily, theta: float) -> list[dict]:
+    """Schmidt data for every product basis state, in (a, b) order: one
+    record ``{"a", "b", "singular_values", "entropy", "schmidt_rank"}``
+    per state, as ``entangle`` writes it.
 
     State |a,b> maps to d|a,b> + e|a~,b~> (its column's diagonal and
     antidiagonal entries), whose singular values are |d| and |e|, sorted.
     On the odd-N centre row a~ = a and the image is the product
     |a> (x) (d|b> + e|b~>) (likewise on the centre column), with the single
     value hypot(|d|, |e|) followed by 0.0.  Every record carries exactly
-    these two values: the image's other N - 2 are structural zeros.
+    these two values, in descending order: the image's other N - 2 are
+    structural zeros.  Entropy is the Shannon entropy of the squared
+    values in bits; in unitary mode the squares sum to one.
     """
     require_mode(family, "unitary")
     dim = family.dim
@@ -143,7 +118,8 @@ def scan_products(
     ranks = (values > RANK_TOL).sum(axis=1)
     rows = zip(values.tolist(), entropy.tolist(), ranks.tolist())
     return [
-        EntanglementRecord(r // dim + 1, r % dim + 1, tuple(v), e, k)
+        {"a": r // dim + 1, "b": r % dim + 1, "singular_values": v,
+         "entropy": e, "schmidt_rank": k}
         for r, (v, e, k) in enumerate(rows)
     ]
 
@@ -167,7 +143,7 @@ def exceptional_scan(
 
 
 def degenerate_classes(
-    params: ParameterSet, theta: float, tol: float = GENERICITY_TOL
+    family: BraidFamily, theta: float, tol: float = GENERICITY_TOL
 ) -> list[tuple[tuple[int, int], str]]:
     """Canonical (i, j) classes whose coefficients degenerate at theta.
 
@@ -181,10 +157,10 @@ def degenerate_classes(
     """
     flagged = []
     # one (i, j) per canonical class; the odd-N centre is pinned and absent
-    for i, j, epsilon in canonical_keys(params.dim):
+    for i, j, epsilon in canonical_keys(family.dim):
         if epsilon == -1:
             continue
-        delta = params.value(i, j, +1) - params.value(i, j, -1)
+        delta = family.value(i, j, +1) - family.value(i, j, -1)
         phase = abs(delta * theta) % (2.0 * math.pi)
         if min(phase, 2.0 * math.pi - phase) <= tol:
             flagged.append(((i, j), "conserved"))
@@ -193,7 +169,7 @@ def degenerate_classes(
     return flagged
 
 
-def detect_period(params: ParameterSet) -> PeriodResult:
+def detect_period(family: BraidFamily) -> PeriodResult:
     """Period of the unitary family in theta, from exact rational exponents.
 
     Rational exponents are always mutually commensurate; the period is
@@ -208,10 +184,10 @@ def detect_period(params: ParameterSet) -> PeriodResult:
     then commensurate=None, periodic=False.  All-zero exponents give the
     constant identity family, reported as degenerate with period 0.
     """
-    require_mode(params, "unitary")
-    if params.exact_values is None:
+    require_mode(family, "unitary")
+    if family.exact_values is None:
         return PeriodResult(periodic=False, period=None, commensurate=None)
-    nonzero = [f for f in params.exact_values.values() if f != 0]
+    nonzero = [f for f in family.exact_values.values() if f != 0]
     if not nonzero:
         return PeriodResult(
             periodic=True, period=0.0, commensurate=True, degenerate=True
@@ -221,7 +197,6 @@ def detect_period(params: ParameterSet) -> PeriodResult:
         math.lcm(*(f.denominator for f in nonzero)),
     )
     period = 2.0 * math.pi / float(g)
-    family = BraidFamily.create(params)
     residuals = []
     for theta0 in _PERIOD_PROBES:
         shifted = orbit_blocks(*family.grids(theta0 + period))

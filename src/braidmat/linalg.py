@@ -1,4 +1,5 @@
-"""Dense complex linear-algebra kernels used by every other module.
+"""Dense complex linear-algebra kernels: ``verify`` calls
+``matrix_exponential`` and ``cli`` calls ``matrix_to_json``.
 
 Matrices are plain 2-D numpy arrays (square, float64 or complex128) and
 vectors are 1-D arrays.  All functions are pure: inputs are never mutated

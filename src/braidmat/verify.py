@@ -22,7 +22,6 @@ import numpy as np
 
 from .braid import (
     BraidFamily,
-    ParameterSet,
     block_grids,
     canonical_keys,
     make_parameters,
@@ -424,7 +423,7 @@ def _failed(name: str, tol: float, error: Exception, **context) -> CheckResult:
 
 
 def run_suite(
-    config: Union[ParameterSet, ReferenceConfig],
+    config: Union[BraidFamily, ReferenceConfig],
     suite: str = "all",
     samples: int = 20,
     seed: int = 42,
@@ -494,12 +493,11 @@ def run_suite(
             draws = rng.uniform(-2.0, 2.0, size=len(keys))
             theta, theta_prime = rng.uniform(-1.0, 1.0, size=2)
             z1, z2 = rng.uniform(-0.9, 0.9, size=2)
-            sampled = config
+            family = config
             if sample > 0:
                 values = dict(zip(keys, draws))
-                sampled = make_parameters(dim, mode, values, overrides=config.overrides)
-            family = BraidFamily.create(sampled)
-            ctx["parameter_digest"] = sampled.digest()
+                family = make_parameters(dim, mode, values, overrides=config.overrides)
+            ctx["parameter_digest"] = family.digest()
         for name in names:
             check_tol = tol * _SCALES[name]
             if name == "braid":

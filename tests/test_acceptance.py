@@ -245,13 +245,13 @@ def test_criterion_8_exceptional_states():
     outcomes = {}
     for dim in (2, 3, 4, 5, 6):
         family = BraidFamily.create(generic_parameters(dim))
-        assert degenerate_classes(family.params, theta) == []  # genericity holds
+        assert degenerate_classes(family, theta) == []  # genericity holds
         outcomes[dim] = exceptional_scan(family, theta)
     expected = {2: [], 4: [], 6: [], 3: [(2, 2)], 5: [(3, 3)]}
     scan_ok = all(outcomes[dim] == expected[dim] for dim in outcomes)
     params = make_parameters(2, "unitary", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
     records = scan_products(BraidFamily.create(params), math.pi / 4)
-    entropy = [r for r in records if (r.a, r.b) == (1, 1)][0].entropy
+    entropy = [r for r in records if (r["a"], r["b"]) == (1, 1)][0]["entropy"]
     entropy_ok = abs(entropy - 1.0) <= ENTROPY_TOL
     ok = scan_ok and entropy_ok
     verdict(

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import braidmat
 from braidmat import (
     AccuracyError,
     BraidFamily,
@@ -93,6 +94,29 @@ def test_key_outside_canonical_range():
         make_parameters(4, "real", {(1, 4, -1): 0.5})
 
 
+@pytest.mark.parametrize(
+    "key",
+    [(1.9, 2, +1), (True, "2", "+"), (1, "2", "+"), (1.5, 3, +1),
+     (1, 1, 0), (1, 1, True), (1, 1, 1.0), (1, 1, "x"), (1, 1)],
+)
+def test_malformed_keys_are_refused_not_coerced(key):
+    # i and j must be ints (not bools), epsilon +1/-1 or "+"/"-"
+    with pytest.raises(ConfigError):
+        make_parameters(4, "real", {key: 0.4})
+    with pytest.raises(ConfigError):
+        make_parameters(4, "real", {}, overrides=(key + (2.0,),))
+
+
+def test_override_epsilon_labels_patch_their_own_grid():
+    for plus, minus in (("+", "-"), (+1, -1)):
+        family = make_parameters(
+            4, "real", {}, overrides=((1, 3, plus, 1.5), (2, 4, minus, -0.5))
+        )
+        assert (family.value(1, 3, +1), family.value(1, 3, -1)) == (1.5, 0.0)
+        assert (family.value(2, 4, +1), family.value(2, 4, -1)) == (0.0, -0.5)
+        assert family.overrides == ((1, 3, 1, 1.5), (2, 4, -1, -0.5))
+
+
 def test_mode_validation():
     with pytest.raises(ConfigError):
         make_parameters(2, "imaginary", {})
@@ -133,6 +157,32 @@ def test_digest_distinguishes_parameter_sets():
     b = make_parameters(2, "real", {(1, 1, +1): 1.0 + 1e-12})
     assert a.digest() == make_parameters(2, "real", {(1, 1, +1): 1.0}).digest()
     assert a.digest() != b.digest()
+
+
+def test_digest_does_not_depend_on_the_float_type():
+    # repr(np.float64(0.5)) is "np.float64(0.5)" under numpy 2 and "0.5"
+    # under numpy 1, so numpy scalars are stored as plain floats
+    values = {(1, 1, +1): 0.5, (1, 1, -1): -1.25}
+    overrides = ((1, 2, +1, 0.75),)
+    plain = make_parameters(2, "real", values, overrides)
+    scalars = make_parameters(
+        2,
+        "real",
+        {key: np.float64(v) for key, v in values.items()},
+        ((1, 2, +1, np.float64(0.75)),),
+    )
+    assert scalars.digest() == plain.digest()
+    assert {type(v) for v in scalars.values.values()} == {float}
+    assert type(scalars.overrides[0][3]) is float
+
+
+def test_a_parameter_set_is_its_braid_family():
+    family = make_parameters(2, "real", {(1, 1, +1): 1.0})
+    assert isinstance(family, BraidFamily)
+    assert BraidFamily.create(family) is family
+    for name in ("ParameterSet", "EntanglementRecord"):
+        assert not hasattr(braidmat, name)
+        assert name not in braidmat.__all__
 
 
 # ------------------------------------------------------------ matrix build

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from braidmat import canonical_keys, matrix_from_json
+from braidmat import canonical_keys, load_config, matrix_from_json, scan_products
 from braidmat.cli import main, parse_angle
 
 
@@ -311,6 +311,23 @@ def test_entangle_output(tmp_path):
     assert (first["a"], first["b"]) == (1, 1)
     assert first["entropy"] == pytest.approx(1.0, abs=1e-9)
     assert len(payload["records"]) == 4
+
+
+def test_entangle_writes_the_records_scan_products_returns(tmp_path):
+    # N = 3 with a centre override: the centre record takes |d + a|
+    parameters = [
+        {"i": 1, "j": 1, "epsilon": "+", "value": 0.9},
+        {"i": 1, "j": 2, "epsilon": "-", "value": -1.3},
+        {"i": 2, "j": 1, "epsilon": "+", "value": 0.4},
+    ]
+    overrides = [{"i": 2, "j": 2, "epsilon": "+", "value": 0.7}]
+    obj = braid_config(3, parameters=parameters, symmetry_overrides=overrides)
+    config = write_config(tmp_path, obj)
+    out = tmp_path / "records.json"
+    code = main(["entangle", "--config", config, "--theta", "0.4137", "--out", str(out)])
+    assert code == 0
+    records = json.loads(out.read_text())["records"]
+    assert records == scan_products(load_config(config), 0.4137)
 
 
 def test_entangle_emits_no_negative_zero(tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from braidmat import (
+    BraidFamily,
     ConfigError,
     ReferenceConfig,
     SizeLimitError,
+    load_config,
     make_parameters,
     parse_config,
 )
@@ -115,3 +117,11 @@ def test_side_length_limit():
 def test_valid_config_still_parses():
     params = parse_config(config())
     assert params.dim == 4 and params.value(1, 2, +1) == 0.4
+
+
+def test_load_config_returns_a_braid_family(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config()), encoding="utf-8")
+    family = load_config(path)
+    assert isinstance(family, BraidFamily)
+    assert family.value(1, 2, +1) == 0.4

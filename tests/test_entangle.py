@@ -47,27 +47,27 @@ def record_of(family, a, b, theta):
 def test_identity_theta_preserves_products():
     family = generic_family(3)
     record = record_of(family, 2, 3, 0.0)
-    assert record.schmidt_rank == 1
-    assert is_positive_zero(record.entropy)
-    assert record.singular_values[0] == pytest.approx(1.0, abs=1e-15)
+    assert record["schmidt_rank"] == 1
+    assert is_positive_zero(record["entropy"])
+    assert record["singular_values"][0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dim2_maximal_entanglement_at_quarter_pi():
     params = make_parameters(2, "unitary", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
     record = record_of(BraidFamily.create(params), 1, 1, math.pi / 4)
-    assert record.schmidt_rank == 2
+    assert record["schmidt_rank"] == 2
     np.testing.assert_allclose(
-        record.singular_values, [1 / math.sqrt(2)] * 2, atol=1e-14
+        record["singular_values"], [1 / math.sqrt(2)] * 2, atol=1e-14
     )
-    assert record.entropy == pytest.approx(1.0, abs=1e-9)
+    assert record["entropy"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_odd_central_state_is_conserved():
     family = generic_family(3)
     for theta in (0.4, 1.7, -2.9):
         record = record_of(family, 2, 2, theta)
-        assert record.schmidt_rank == 1
-        assert is_positive_zero(record.entropy)
+        assert record["schmidt_rank"] == 1
+        assert is_positive_zero(record["entropy"])
 
 
 def test_real_mode_rejected():
@@ -83,16 +83,16 @@ def test_index_range_checked():
     # one record per state |a,b>, a and b in 1..N, in (a, b) order
     records = scan_products(generic_family(3), 0.5)
     expected = [(a, b) for a in range(1, 4) for b in range(1, 4)]
-    assert [(r.a, r.b) for r in records] == expected
+    assert [(r["a"], r["b"]) for r in records] == expected
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_norm_preservation_and_rank_bound(dim):
     family = generic_family(dim)
     for record in scan_products(family, 0.9):
-        squares = sum(v * v for v in record.singular_values)
+        squares = sum(v * v for v in record["singular_values"])
         assert abs(squares - 1.0) <= 1e-10
-        assert record.schmidt_rank in (1, 2)
+        assert record["schmidt_rank"] in (1, 2)
 
 
 def test_scan_at_the_size_cap_allocates_no_dense_matrix():
@@ -113,8 +113,8 @@ def test_scan_at_the_size_cap_allocates_no_dense_matrix():
 def test_entropy_even_in_theta():
     family = generic_family(4)
     for a, b in [(1, 1), (2, 3), (4, 2)]:
-        forward = record_of(family, a, b, 1.3).entropy
-        backward = record_of(family, a, b, -1.3).entropy
+        forward = record_of(family, a, b, 1.3)["entropy"]
+        backward = record_of(family, a, b, -1.3)["entropy"]
         assert forward == pytest.approx(backward, abs=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_entropy_even_in_theta():
 def test_even_generic_scan_is_empty(dim):
     family = generic_family(dim)
     theta = 0.9
-    assert degenerate_classes(family.params, theta) == []
+    assert degenerate_classes(family, theta) == []
     assert exceptional_scan(family, theta) == []
 
 
@@ -134,7 +134,7 @@ def test_odd_generic_scan_finds_only_center(dim):
     family = generic_family(dim)
     theta = 0.9
     center = (dim + 1) // 2
-    assert degenerate_classes(family.params, theta) == []
+    assert degenerate_classes(family, theta) == []
     assert exceptional_scan(family, theta) == [(center, center)]
 
 
@@ -156,7 +156,7 @@ def test_accidental_conservation_is_flagged_and_found():
         (2, 2, +1): -0.61, (2, 2, -1): 0.07,
     }
     family = BraidFamily.create(make_parameters(4, "unitary", values))
-    flagged = degenerate_classes(family.params, theta)
+    flagged = degenerate_classes(family, theta)
     assert ((1, 1), "conserved") in flagged
     found = exceptional_scan(family, theta)
     assert set(found) == {(1, 1), (1, 4), (4, 1), (4, 4)}
@@ -174,7 +174,7 @@ def test_swap_degeneracy_is_flagged_and_found():
         (2, 2, +1): -0.61, (2, 2, -1): 0.07,
     }
     family = BraidFamily.create(make_parameters(4, "unitary", values))
-    assert ((1, 1), "swapped") in degenerate_classes(family.params, theta)
+    assert ((1, 1), "swapped") in degenerate_classes(family, theta)
     assert (1, 1) in exceptional_scan(family, theta)
 
 

@@ -321,8 +321,8 @@ def random_family(dim, mode, rng, overrides=0, centre=False):
 
 def decoupled(family):
     """Negative control: shift the (1, N, +) entry away from its orbit."""
-    shifted = family.params.value(1, 1, +1) + 1.0
-    p = family.params
+    shifted = family.value(1, 1, +1) + 1.0
+    p = family
     overrides = p.overrides + ((1, family.dim, +1, shifted),)
     return BraidFamily.create(
         make_parameters(p.dim, p.mode, p.values, overrides=overrides)
@@ -417,7 +417,7 @@ def even_form_matrix(family, theta):
                 pair = pair_projector(i, j, epsilon, n) + pair_projector(
                     i, dim + 1 - j, epsilon, n
                 )
-                m = family.params.value(i, j, epsilon)
+                m = family.value(i, j, epsilon)
                 if family.mode == "real":
                     out = out + np.exp(m * theta) * pair
                 else:
@@ -801,7 +801,7 @@ def test_coupled_phased_pair_fails_the_reference_regrouping(monkeypatch):
 def test_make_parameters_matches_the_per_cell_loop(dim):
     rng = np.random.default_rng(6000 + dim)
     for overrides, centre in ((0, False), (2, False), (1, True)):
-        params = random_family(dim, "real", rng, overrides, centre).params
+        params = random_family(dim, "real", rng, overrides, centre)
         assert np.array_equal(params.exponents, parameter_grid(params))
         assert params.exponents.tobytes() == parameter_grid(params).tobytes()
 
@@ -871,13 +871,13 @@ def assert_scan_matches_the_dense_svd(family, theta):
     expected = list(dense_records(family, theta))
     assert len(records) == len(expected)
     for record, (a, b, values, entropy, rank) in zip(records, expected):
-        assert (record.a, record.b, record.schmidt_rank) == (a, b, rank)
+        assert (record["a"], record["b"], record["schmidt_rank"]) == (a, b, rank)
         # the image lies in a two-dimensional plane: the two largest dense
         # values are the record's, and every other one is a structural zero
-        assert len(record.singular_values) == 2
-        assert np.abs(np.subtract(record.singular_values, values[:2])).max() <= SCHMIDT_TOL
+        assert len(record["singular_values"]) == 2
+        assert np.abs(np.subtract(record["singular_values"], values[:2])).max() <= SCHMIDT_TOL
         assert np.all(values[2:] <= SCHMIDT_TOL)
-        assert abs(record.entropy - entropy) <= ENTROPY_TOL
+        assert abs(record["entropy"] - entropy) <= ENTROPY_TOL
     assert exceptional_scan(family, theta) == dense_exceptional(family, theta)
 
 

@@ -211,7 +211,7 @@ def sorted_union(config, suites, samples, seed):
 @settings(max_examples=60, deadline=None)
 @given(families(), st.booleans(), SAMPLES, SEEDS)
 def test_all_is_the_union_of_the_suites_that_apply(family, symmetric, samples, seed):
-    config = family.params
+    config = family
     if symmetric:
         config = make_parameters(config.dim, config.mode, config.values)
     suites = ["braid", "factorization", "exponential", "projectors"]

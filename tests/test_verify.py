@@ -62,7 +62,7 @@ def test_braid_negative_control():
     # decoupling one mirror image violates the design constraint and
     # must visibly break the exchange identity
     family = random_family(4, "real", 1)
-    p = family.params
+    p = family
     overrides = p.overrides + ((1, 3, +1, 1.9),)
     broken = BraidFamily.create(
         make_parameters(p.dim, p.mode, p.values, overrides=overrides)
@@ -371,7 +371,7 @@ def test_per_sample_checks_never_build_a_dense_matrix(monkeypatch, dim):
     def refuse(self, theta):
         raise AssertionError("dense braid matrix built")
 
-    params = random_family(dim, "unitary", 20 + dim).params
+    params = random_family(dim, "unitary", 20 + dim)
     monkeypatch.setattr(BraidFamily, "matrix", refuse)
     for suite in ("braid", "unitarity", "factorization", "exponential"):
         report = run_suite(params, suite=suite, samples=2)
