@@ -37,8 +37,6 @@ from .errors import (
 from .linalg import matrix_exponential, matrix_from_json, matrix_to_json
 from .projectors import ProjectorFamily, ProjectorKey, projector_family
 from .verify import (
-    CheckResult,
-    VerificationReport,
     check_braid,
     check_composition_law,
     check_exponential,
@@ -57,7 +55,6 @@ __all__ = [
     "BlockStructureReport",
     "BraidFamily",
     "BraidmatError",
-    "CheckResult",
     "ConfigError",
     "ConstructionError",
     "DimensionError",
@@ -68,7 +65,6 @@ __all__ = [
     "ProjectorKey",
     "ReferenceConfig",
     "SizeLimitError",
-    "VerificationReport",
     "block_structure",
     "canonical_keys",
     "check_braid",

@@ -143,11 +143,13 @@ class BraidFamily:
         """max |m| over the whole exponent grid, overrides included."""
         return float(np.abs(self.exponents).max())
 
-    def value(self, i: int, j: int, epsilon: int) -> float:
-        """Exponent at any (i, j, epsilon), 1-based."""
+    def value(self, i: int, j: int, epsilon: int | str) -> float:
+        """Exponent at any (i, j, epsilon), 1-based; the key is checked as
+        in ``make_parameters`` (epsilon +1/-1 or "+"/"-")."""
+        i, j, epsilon = _normalize_key((i, j, epsilon))
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise IndexError(f"indices ({i},{j}) out of range 1..{self.dim}")
-        return float(self.exponents[0 if epsilon == +1 else 1, i - 1, j - 1])
+        return float(self.exponents[(1 - epsilon) // 2, i - 1, j - 1])
 
     def digest(self) -> str:
         """Stable short fingerprint of (dim, mode, values, overrides)."""
@@ -245,8 +247,9 @@ def make_parameters(
     raises ConfigError); missing classes default to zero.  For odd
     dim the central class must be absent or zero.  The full exponent grid
     is populated through mirror symmetry, then any ``overrides`` are
-    patched in verbatim.  Every value, overrides included, must be a
-    finite number or a "p/q" string.
+    patched in verbatim; each override is an (i, j, epsilon, value)
+    tuple.  Every value, overrides included, must be a finite number or a
+    "p/q" string.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -288,7 +291,10 @@ def make_parameters(
     fold = np.minimum(np.arange(dim), np.arange(dim)[::-1])
     grid = canonical[:, fold[:, None], fold]
     patched = []
-    for *raw_key, raw_value in overrides:
+    for override in overrides:
+        if not (isinstance(override, (tuple, list)) and len(override) == 4):
+            raise ConfigError(f"override {override!r} is not (i, j, epsilon, value)")
+        *raw_key, raw_value = override
         i, j, epsilon = _normalize_key(tuple(raw_key))
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise ConfigError(f"override indices ({i},{j}) out of range 1..{dim}")

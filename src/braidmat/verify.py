@@ -1,9 +1,10 @@
 """Machine checks for every algebraic claim about the braid families.
 
-Each check returns a CheckResult with a normalized residual: the largest
-entrywise deviation divided by max(1, largest entry magnitude of either
-compared matrix).  Nonunitary coefficients grow exponentially in theta,
-so unnormalized residuals would not be comparable across draws.
+Each check returns the record its report writes: a dict of name,
+residual, tolerance, passed and context.  The residual is normalized: the
+largest entrywise deviation divided by max(1, largest entry magnitude of
+either compared matrix).  Nonunitary coefficients grow exponentially in
+theta, so unnormalized residuals would not be comparable across draws.
 
 ``run_suite`` aggregates checks over random parameter draws.  Randomness
 comes from numpy's Philox counter-based bit generator keyed by the seed,
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -184,59 +184,22 @@ def _blocks(family: BraidFamily, theta: float) -> np.ndarray:
     return orbit_blocks(*family.grids(theta))
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One verified residual; ``passed`` holds iff residual <= tolerance
-    (a NaN residual, recorded when a check errored out, never passes)."""
-
-    name: str
-    residual: float
-    tolerance: float
-    context: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-    def to_json(self) -> dict:
-        residual = None if math.isnan(self.residual) else self.residual
-        return {
-            "name": self.name,
-            "residual": residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "context": dict(self.context),
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    dim: int
-    mode: str
-    suite: str
-    seed: int
-    tolerance: float
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.dim,
-            "mode": self.mode,
-            "suite": self.suite,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "checks": [c.to_json() for c in self.checks],
-            "passed": self.passed,
-        }
+def _check(name: str, residual: float, tol: float, context: dict) -> dict:
+    """One check's report record.  A NaN residual, recorded when a check
+    errored out, is written as None and never passes: ``passed`` holds iff
+    residual <= tol."""
+    return {
+        "name": name,
+        "residual": None if math.isnan(residual) else residual,
+        "tolerance": tol,
+        "passed": residual <= tol,
+        "context": context,
+    }
 
 
 def check_braid(
     family: BraidFamily, theta: float, theta_prime: float, tol: float = 1e-10
-) -> CheckResult:
+) -> dict:
     """Cubic exchange identity on the triple tensor space.
 
     Compares R12(t) R23(t+t') R12(t') against R23(t') R12(t+t') R23(t),
@@ -245,17 +208,17 @@ def check_braid(
     ``exchange_residual``).
     """
     grids = (family.grids(x) for x in (theta, theta + theta_prime, theta_prime))
-    return CheckResult(
-        name="braid",
-        residual=exchange_residual(*grids),
-        tolerance=tol,
-        context={"theta": theta, "theta_prime": theta_prime},
+    return _check(
+        "braid",
+        exchange_residual(*grids),
+        tol,
+        {"theta": theta, "theta_prime": theta_prime},
     )
 
 
 def check_unitarity(
     family: BraidFamily, theta: float, tol: float = 1e-12
-) -> CheckResult:
+) -> dict:
     """dagger(R) @ R = I, plus dagger(R(theta)) = R(-theta) in context,
     on the orbit blocks.
 
@@ -266,17 +229,17 @@ def check_unitarity(
     r = _blocks(family, theta)
     r_dagger = r.conj().swapaxes(-1, -2)
     reversal = float(np.abs(r_dagger - _blocks(family, -theta)).max())
-    return CheckResult(
-        name="unitarity",
-        residual=normalized_residual(r_dagger @ r, np.broadcast_to(np.eye(2), r.shape)),
-        tolerance=tol,
-        context={"theta": theta, "theta_reversal_residual": reversal},
+    return _check(
+        "unitarity",
+        normalized_residual(r_dagger @ r, np.broadcast_to(np.eye(2), r.shape)),
+        tol,
+        {"theta": theta, "theta_reversal_residual": reversal},
     )
 
 
 def check_factorization(
     family: BraidFamily, theta1: float, theta2: float, tol: float = 1e-11
-) -> CheckResult:
+) -> dict:
     """Additivity R(t1 +/- t2) = R(t1) @ R(+/-t2) and inversion by sign
     flip, on the orbit blocks."""
     r1 = _blocks(family, theta1)
@@ -286,11 +249,11 @@ def check_factorization(
     plus = normalized_residual(_blocks(family, theta1 + theta2), r1 @ r2)
     minus = normalized_residual(_blocks(family, theta1 - theta2), r1 @ r2_inv)
     inverse = normalized_residual(r2 @ r2_inv, eye)
-    return CheckResult(
-        name="factorization",
-        residual=max(plus, minus, inverse),
-        tolerance=tol,
-        context={
+    return _check(
+        "factorization",
+        max(plus, minus, inverse),
+        tol,
+        {
             "theta1": theta1,
             "theta2": theta2,
             "plus_residual": plus,
@@ -302,7 +265,7 @@ def check_factorization(
 
 def check_exponential(
     family: BraidFamily, theta: float, tol: float = 1e-10
-) -> CheckResult:
+) -> dict:
     """Generator form: built matrix vs exp(theta * X), and the exchange
     identity rerun on the exponential-form matrices.
 
@@ -322,11 +285,11 @@ def check_exponential(
     )
     direct = normalized_residual(_blocks(family, theta), e_t)
     exchange = exchange_residual(*(block_grids(e, family.dim) for e in (e_t, e_s, e_h)))
-    return CheckResult(
-        name="exponential",
-        residual=max(direct, exchange),
-        tolerance=tol,
-        context={
+    return _check(
+        "exponential",
+        max(direct, exchange),
+        tol,
+        {
             "theta": theta,
             "theta_prime": half,
             "build_vs_exp_residual": direct,
@@ -337,7 +300,7 @@ def check_exponential(
 
 def check_composition_law(
     n: int, z1: float, z2: float, tol: float = 1e-13
-) -> CheckResult:
+) -> dict:
     """Projective composition of the reference family, on its orbit blocks.
 
     R(z1) @ R(z2) = (1 - z1*z2) * R(z3) with z3 = (z1+z2)/(1 - z1*z2);
@@ -348,15 +311,15 @@ def check_composition_law(
         raise DomainError(f"z1*z2 = {z1 * z2} is at the composition pole")
     z3 = (z1 + z2) / scalar
     product = reference_blocks(n, z1) @ reference_blocks(n, z2)
-    return CheckResult(
-        name="composition",
-        residual=normalized_residual(product, scalar * reference_blocks(n, z3)),
-        tolerance=tol,
-        context={"z1": z1, "z2": z2, "z3": z3, "scalar": scalar},
+    return _check(
+        "composition",
+        normalized_residual(product, scalar * reference_blocks(n, z3)),
+        tol,
+        {"z1": z1, "z2": z2, "z3": z3, "scalar": scalar},
     )
 
 
-def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[CheckResult]:
+def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[dict]:
     """Idempotency, orthogonality, completeness, and trace for every
     projector family available at this side length.
 
@@ -385,18 +348,18 @@ def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[CheckResult]:
         if len(fam) % 2:  # the centre alone resolves its single position
             complete = max(complete, float(abs(blocks[-1, 0, 0] - 1.0)))
         ctx = {"kind": kind, "members": len(fam)}
-        results.append(CheckResult("projectors_idempotent", idem, tol, dict(ctx)))
-        results.append(CheckResult("projectors_orthogonal", orth, tol, dict(ctx)))
-        results.append(CheckResult("projectors_complete", complete, tol, dict(ctx)))
-        results.append(CheckResult("projectors_unit_trace", trace_dev, tol, dict(ctx)))
+        results.append(_check("projectors_idempotent", idem, tol, dict(ctx)))
+        results.append(_check("projectors_orthogonal", orth, tol, dict(ctx)))
+        results.append(_check("projectors_complete", complete, tol, dict(ctx)))
+        results.append(_check("projectors_unit_trace", trace_dev, tol, dict(ctx)))
         if kind == "Q":
             # member w v v^dagger with max|v| = 1 misses Hermiticity by 2|Im w|
             herm = 2 * float(np.abs(w.imag).max())
-            results.append(CheckResult("projectors_hermitian", herm, tol, dict(ctx)))
+            results.append(_check("projectors_hermitian", herm, tol, dict(ctx)))
     return results
 
 
-def reference_checks(n: int) -> list[CheckResult]:
+def reference_checks(n: int) -> list[dict]:
     """Self-checks of the reference regrouping: the sign-summed pair must
     be complementary orthogonal projectors and yield a real generator
     squaring to -I.  The residuals are the ones the construction itself
@@ -410,16 +373,9 @@ def reference_checks(n: int) -> list[CheckResult]:
     )
     gen_residual = max(res["generator real"], res["generator squares to -I"])
     return [
-        CheckResult("reference_projectors", pair_residual, PROJECTOR_TOL, {"n": n}),
-        CheckResult(
-            "reference_generator", gen_residual, REFERENCE_GENERATOR_TOL, {"n": n}
-        ),
+        _check("reference_projectors", pair_residual, PROJECTOR_TOL, {"n": n}),
+        _check("reference_generator", gen_residual, REFERENCE_GENERATOR_TOL, {"n": n}),
     ]
-
-
-def _failed(name: str, tol: float, error: Exception, **context) -> CheckResult:
-    context["error"] = str(error)
-    return CheckResult(name=name, residual=math.nan, tolerance=tol, context=context)
 
 
 def run_suite(
@@ -428,8 +384,9 @@ def run_suite(
     samples: int = 20,
     seed: int = 42,
     tol: float = 1e-10,
-) -> VerificationReport:
-    """Run a named suite of checks and aggregate a report.
+) -> dict:
+    """Run a named suite of checks and return the report record: N, mode,
+    suite, seed, tolerance, the checks' records and whether all passed.
 
     For a braid-family config, sample 0 evaluates the configured parameter
     values and samples 1..``samples`` evaluate fresh parameter draws
@@ -441,8 +398,8 @@ def run_suite(
     as failed results when requested explicitly.  A reference config
     (side length 2n) accepts only the suites "composition", "projectors"
     and "all", and each of its samples draws only the composition points.
-    Errors raised inside a check become failed results instead of
-    propagating.
+    A BraidmatError raised inside a check becomes that check's failed
+    record, with the message in its context, instead of propagating.
 
     Randomness: numpy Philox keyed by ``seed`` with a fixed draw order,
     so reports are bit-identical across runs and platforms.
@@ -478,7 +435,7 @@ def run_suite(
             and (name != "composition" or dim % 2 == 0)
         )
     rng = np.random.Generator(np.random.Philox(seed))
-    checks: list[CheckResult] = []
+    checks: list[dict] = []
     if suite in ("projectors", "all"):
         checks.extend(projector_checks(dim))
         if dim % 2 == 0:
@@ -500,52 +457,43 @@ def run_suite(
             ctx["parameter_digest"] = family.digest()
         for name in names:
             check_tol = tol * _SCALES[name]
-            if name == "braid":
-                func, args = check_braid, (family, theta, theta_prime)
-            elif name == "unitarity":
-                func, args = check_unitarity, (family, theta)
-            elif name == "factorization":
-                func, args = check_factorization, (family, theta, theta_prime)
-            elif name == "exponential":
-                func, args = check_exponential, (family, theta)
-            elif dim % 2 == 0:
-                func, args = check_composition_law, (dim // 2, z1, z2)
-            else:
-                error = ConfigError(
-                    f"composition law needs an even side length (got N={dim})"
-                )
-                checks.append(_failed(name, check_tol, error, **ctx))
-                continue
-            result = _guarded(func, name, check_tol, ctx, *args)
-            checks.append(result)
-            if "theta_reversal_residual" in result.context:
-                checks.append(
-                    CheckResult(
-                        name="theta_reversal",
-                        residual=result.context["theta_reversal_residual"],
-                        tolerance=tol * _SCALES["theta_reversal"],
-                        context=dict(ctx, theta=theta),
+            # every check that raises, the odd-N composition check included,
+            # becomes one failed record here
+            try:
+                if name == "braid":
+                    result = check_braid(family, theta, theta_prime, tol=check_tol)
+                elif name == "unitarity":
+                    result = check_unitarity(family, theta, tol=check_tol)
+                elif name == "factorization":
+                    result = check_factorization(family, theta, theta_prime, tol=check_tol)
+                elif name == "exponential":
+                    result = check_exponential(family, theta, tol=check_tol)
+                elif dim % 2 == 0:
+                    result = check_composition_law(dim // 2, z1, z2, tol=check_tol)
+                else:
+                    raise ConfigError(
+                        f"composition law needs an even side length (got N={dim})"
                     )
+            except BraidmatError as exc:
+                error_ctx = dict(ctx, error=str(exc))
+                checks.append(_check(name, math.nan, check_tol, error_ctx))
+                continue
+            result["context"] = dict(ctx, **result["context"])
+            checks.append(result)
+            if name == "unitarity":
+                reversal = result["context"]["theta_reversal_residual"]
+                reversal_tol = tol * _SCALES["theta_reversal"]
+                reversal_ctx = dict(ctx, theta=theta)
+                checks.append(
+                    _check("theta_reversal", reversal, reversal_tol, reversal_ctx)
                 )
-    checks.sort(key=lambda c: (c.name, c.context.get("sample", -1)))
-    return VerificationReport(
-        dim=dim,
-        mode=mode,
-        suite=suite,
-        seed=seed,
-        tolerance=tol,
-        checks=tuple(checks),
-    )
-
-
-def _guarded(func, name: str, tol: float, base_ctx: dict, *args) -> CheckResult:
-    try:
-        result = func(*args, tol=tol)
-    except BraidmatError as exc:
-        return _failed(name, tol, exc, **base_ctx)
-    return CheckResult(
-        name=result.name,
-        residual=result.residual,
-        tolerance=result.tolerance,
-        context=dict(base_ctx, **result.context),
-    )
+    checks.sort(key=lambda c: (c["name"], c["context"].get("sample", -1)))
+    return {
+        "N": dim,
+        "mode": mode,
+        "suite": suite,
+        "seed": seed,
+        "tolerance": tol,
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }

@@ -92,19 +92,19 @@ def sampled():
                 pairs = rng.uniform(-1.0, 1.0, (PAIRS_PER_SET, 2))
                 for theta, theta_prime in pairs:
                     stats["braid"].append(
-                        check_braid(family, theta, theta_prime).residual
+                        check_braid(family, theta, theta_prime)["residual"]
                     )
                     stats["factorization"].append(
-                        check_factorization(family, theta, theta_prime).residual
+                        check_factorization(family, theta, theta_prime)["residual"]
                     )
                     if mode == "unitary":
                         result = check_unitarity(family, theta)
-                        stats["unitarity"].append(result.residual)
+                        stats["unitarity"].append(result["residual"])
                         stats["reversal"].append(
-                            result.context["theta_reversal_residual"]
+                            result["context"]["theta_reversal_residual"]
                         )
                 stats["exponential"].append(
-                    check_exponential(family, pairs[0][0]).residual
+                    check_exponential(family, pairs[0][0])["residual"]
                 )
     stats["elapsed"] = time.perf_counter() - start
     return stats
@@ -128,8 +128,8 @@ def test_criterion_2_projector_algebra():
     worst = 0.0
     for dim in (2, 3, 4, 5, 6, 8):
         for result in projector_checks(dim, tol=PROJECTOR_TOL):
-            worst = max(worst, result.residual)
-            assert result.passed, (dim, result.name, result.residual)
+            worst = max(worst, result["residual"])
+            assert result["passed"], (dim, result["name"], result["residual"])
     ok = worst <= PROJECTOR_TOL
     verdict(2, "projector algebra for N in {2,3,4,5,6,8}", ok, f"worst {worst:.2e}")
     assert ok
@@ -197,7 +197,7 @@ def test_criterion_7_reference_family():
     worst_pair, worst_gen, worst_comp = 0.0, 0.0, 0.0
     for n in (1, 2, 3):
         # the library's orbit-block residuals and the dense oracle pair
-        library_pair, library_gen = (c.residual for c in reference_checks(n))
+        library_pair, library_gen = (c["residual"] for c in reference_checks(n))
         plus, minus, rot = reference_projectors(n)
         eye = np.eye((2 * n) ** 2)
         worst_pair = max(
@@ -218,9 +218,9 @@ def test_criterion_7_reference_family():
     z_pairs = [(0.5, 0.5)] + [tuple(rng.uniform(-0.9, 0.9, 2)) for _ in range(40)]
     for z1, z2 in z_pairs:
         result = check_composition_law(1, z1, z2, tol=COMPOSITION_TOL)
-        worst_comp = max(worst_comp, result.residual)
+        worst_comp = max(worst_comp, result["residual"])
     half = check_composition_law(1, 0.5, 0.5, tol=COMPOSITION_TOL)
-    z3_ok = abs(half.context["z3"] - 4.0 / 3.0) < 1e-14
+    z3_ok = abs(half["context"]["z3"] - 4.0 / 3.0) < 1e-14
     ok = (
         worst_pair <= REFERENCE_PAIR_TOL
         and worst_gen <= REFERENCE_GEN_TOL
@@ -232,7 +232,7 @@ def test_criterion_7_reference_family():
         "reference family and composition law",
         ok,
         f"pair {worst_pair:.2e}, generator {worst_gen:.2e}, "
-        f"composition {worst_comp:.2e}, z3(0.5,0.5)={half.context['z3']:.6f}",
+        f"composition {worst_comp:.2e}, z3(0.5,0.5)={half['context']['z3']:.6f}",
     )
     assert worst_pair <= REFERENCE_PAIR_TOL
     assert worst_gen <= REFERENCE_GEN_TOL
@@ -297,7 +297,7 @@ def test_criterion_10_negative_controls():
     p = random_parameters(4, "real", rng)
     overrides = p.overrides + ((1, 3, +1, 1.8),)
     broken = make_parameters(p.dim, p.mode, p.values, overrides=overrides)
-    braid_residual = check_braid(BraidFamily.create(broken), 0.63, -0.41).residual
+    braid_residual = check_braid(BraidFamily.create(broken), 0.63, -0.41)["residual"]
     braid_ok = braid_residual > 1e-3
     real_params = make_parameters(2, "real", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
     real_family = BraidFamily.create(real_params)
@@ -306,7 +306,7 @@ def test_criterion_10_negative_controls():
     with pytest.raises(ModeError):
         check_unitarity(real_family, 1.0)
     report = run_suite(real_params, suite="unitarity", samples=1)
-    unitarity_ok = defect > 0.1 and not report.passed
+    unitarity_ok = defect > 0.1 and not report["passed"]
     ok = braid_ok and unitarity_ok
     verdict(
         10,

@@ -128,6 +128,20 @@ def test_epsilon_labels_accepted():
     assert params.value(1, 1, -1) == 1.0
 
 
+def test_value_reads_the_grid_its_epsilon_names():
+    params = make_parameters(2, "real", {(1, 1, "+"): 2.0, (1, 1, "-"): 1.0})
+    assert (params.value(1, 1, "+"), params.value(1, 1, "-")) == (2.0, 1.0)
+    for epsilon in (0, True, 1.0, "x"):
+        with pytest.raises(ConfigError):
+            params.value(1, 1, epsilon)
+
+
+@pytest.mark.parametrize("override", [(), (1, 1, 1), (1, 1, 1, 2.0, 3.0)])
+def test_malformed_override_is_refused_by_name(override):
+    with pytest.raises(ConfigError, match=r"override .* is not \(i, j, epsilon, value\)"):
+        make_parameters(2, "real", {}, overrides=(override,))
+
+
 def test_exact_values_default_to_zero_only_when_every_value_is_exact():
     given = {(1, 1, "+"): 2, (2, 1, "-"): "1/3", (1, 2, "+"): Fraction(-3, 4)}
     params = make_parameters(4, "unitary", given)
@@ -180,7 +194,8 @@ def test_a_parameter_set_is_its_braid_family():
     family = make_parameters(2, "real", {(1, 1, +1): 1.0})
     assert isinstance(family, BraidFamily)
     assert BraidFamily.create(family) is family
-    for name in ("ParameterSet", "EntanglementRecord"):
+    gone = ("ParameterSet", "EntanglementRecord", "CheckResult", "VerificationReport")
+    for name in gone:
         assert not hasattr(braidmat, name)
         assert name not in braidmat.__all__
 

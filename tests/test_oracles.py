@@ -292,9 +292,9 @@ def checked_residuals(monkeypatch, family):
         lambda d, k: family if k == family.kind else original(d, k),
     )
     return {
-        c.name: c.residual
+        c["name"]: c["residual"]
         for c in projector_checks(family.dim)
-        if c.context["kind"] == family.kind
+        if c["context"]["kind"] == family.kind
     }
 
 
@@ -501,9 +501,9 @@ def test_structured_exchange_matches_dense_oracle(dim, mode):
             family.matrix(theta_prime),
             dim,
         )
-        assert abs(braid.residual - expected) <= ORACLE_TOL
-        assert braid.passed == (expected <= braid.tolerance)
-        assert braid.residual == slot_exchange_residual(
+        assert abs(braid["residual"] - expected) <= ORACLE_TOL
+        assert braid["passed"] == (expected <= braid["tolerance"])
+        assert braid["residual"] == slot_exchange_residual(
             *(family.grids(x) for x in (theta, theta + theta_prime, theta_prime))
         )
 
@@ -513,10 +513,10 @@ def test_structured_exchange_matches_dense_oracle(dim, mode):
             matrix_exponential(c * x) for c in (theta, theta / 2, 1.5 * theta)
         )
         expected = dense_exchange_residual(e_t, e_s, e_h, dim)
-        structured = exponential.context["exp_exchange_residual"]
+        structured = exponential["context"]["exp_exchange_residual"]
         assert abs(structured - expected) <= ORACLE_TOL
         if overrides == 0:
-            assert braid.passed and exponential.passed
+            assert braid["passed"] and exponential["passed"]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
@@ -531,9 +531,9 @@ def test_negative_controls_fail_structured_and_dense(dim, mode):
         family.matrix(theta_prime),
         dim,
     )
-    assert not structured.passed
-    assert dense > structured.tolerance
-    assert abs(structured.residual - dense) <= ORACLE_TOL
+    assert not structured["passed"]
+    assert dense > structured["tolerance"]
+    assert abs(structured["residual"] - dense) <= ORACLE_TOL
 
     x = dense_generator(family)
     exps = [matrix_exponential(c * x) for c in (theta, 1.5 * theta, theta / 2)]
@@ -541,8 +541,8 @@ def test_negative_controls_fail_structured_and_dense(dim, mode):
     dense = dense_exchange_residual(*exps, dim)
     assert dense > 1e-6
     exponential = check_exponential(family, theta)
-    assert not exponential.passed
-    assert abs(exponential.context["exp_exchange_residual"] - dense) <= ORACLE_TOL
+    assert not exponential["passed"]
+    assert abs(exponential["context"]["exp_exchange_residual"] - dense) <= ORACLE_TOL
 
 
 def test_built_matrices_lie_exactly_in_the_pattern():
@@ -590,14 +590,14 @@ def block_residuals(family, theta, theta2):
     fact = check_factorization(family, theta, theta2)
     exponential = check_exponential(family, theta)
     residuals = {
-        name: fact.context[name]
+        name: fact["context"][name]
         for name in ("plus_residual", "minus_residual", "inverse_residual")
     }
-    residuals["build_vs_exp_residual"] = exponential.context["build_vs_exp_residual"]
+    residuals["build_vs_exp_residual"] = exponential["context"]["build_vs_exp_residual"]
     if family.mode == "unitary":
         unitarity = check_unitarity(family, theta)
-        residuals["unitarity"] = unitarity.residual
-        residuals["theta_reversal_residual"] = unitarity.context[
+        residuals["unitarity"] = unitarity["residual"]
+        residuals["theta_reversal_residual"] = unitarity["context"][
             "theta_reversal_residual"
         ]
     return residuals
@@ -628,12 +628,12 @@ def test_gram_residuals_match_the_member_level_oracle(dim):
     # the pair-level residuals of projector_checks (once read off a Gram
     # matrix, hence the name) against the dense member-level products
     results = projector_checks(dim)
-    for kind in {c.context["kind"] for c in results}:
+    for kind in {c["context"]["kind"] for c in results}:
         expected = member_level_residuals(verify.projector_family(dim, kind))
         for c in results:
-            if c.context["kind"] == kind and c.name in expected:
-                assert c.residual == expected[c.name]
-    assert all(c.residual == 0.0 for c in results)
+            if c["context"]["kind"] == kind and c["name"] in expected:
+                assert c["residual"] == expected[c["name"]]
+    assert all(c["residual"] == 0.0 for c in results)
 
 
 @pytest.mark.parametrize("kind", ["unified", "Q"])
@@ -762,9 +762,9 @@ def test_reference_blocks_match_the_dense_oracle(n):
         assert np.array_equal(
             blocks, np.stack([dense[np.ix_(pair, pair)] for pair in pairs])
         )
-    assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
+    assert [c["residual"] for c in reference_checks(n)] == dense_reference_residuals(n)
     for z1, z2 in rng.uniform(-0.9, 0.9, (5, 2)):
-        block = check_composition_law(n, z1, z2).residual
+        block = check_composition_law(n, z1, z2)["residual"]
         assert abs(block - dense_composition_residual(n, z1, z2)) <= ORACLE_TOL
 
 
@@ -1068,8 +1068,8 @@ def test_check_exponential_raises_as_the_three_calls_did(mode, scale, theta):
         assert got is None
         check = check_exponential(family, theta)
         direct, exchange = three_call_exponential_residuals(family, theta)
-        assert check.context["build_vs_exp_residual"] == direct
-        assert check.context["exp_exchange_residual"] == exchange
+        assert check["context"]["build_vs_exp_residual"] == direct
+        assert check["context"]["exp_exchange_residual"] == exchange
     elif declared:
         assert got[0] is expected[0] is AccuracyError
         assert "exceeds 50.0 in real mode" in expected[1]

@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from braidmat import (  # noqa: E402
     BraidFamily,
-    CheckResult,
     ProjectorFamily,
     ReferenceConfig,
     canonical_keys,
@@ -113,11 +112,11 @@ def test_exchange_checks_equal_the_slot_kernels(family, negative, theta, theta_p
         family = decoupled(family)
     grids = (family.grids(x) for x in (theta, theta + theta_prime, theta_prime))
     braid = check_braid(family, theta, theta_prime)
-    assert braid.residual == slot_exchange_residual(*grids)
+    assert braid["residual"] == slot_exchange_residual(*grids)
     exponential = check_exponential(family, theta)
     direct, exchange = three_call_exponential_residuals(family, theta)
-    assert exponential.context["build_vs_exp_residual"] == direct
-    assert exponential.context["exp_exchange_residual"] == exchange
+    assert exponential["context"]["build_vs_exp_residual"] == direct
+    assert exponential["context"]["exp_exchange_residual"] == exchange
 
 
 @st.composite
@@ -177,9 +176,9 @@ def test_pair_level_projector_residuals_equal_the_dense_oracle(family):
     stand_in = lambda d, k: family if k == family.kind else original(d, k)  # noqa: E731
     with mock.patch.object(verify, "projector_family", stand_in):
         checked = {
-            c.name: c.residual
+            c["name"]: c["residual"]
             for c in projector_checks(family.dim)
-            if c.context["kind"] == family.kind
+            if c["context"]["kind"] == family.kind
         }
     expected = member_level_residuals(family)
     assert {name: checked[name] for name in expected} == expected
@@ -192,8 +191,8 @@ def test_pair_level_projector_residuals_equal_the_dense_oracle(family):
     st.floats(-0.9, 0.9, allow_nan=False),
 )
 def test_reference_and_composition_residuals_equal_the_dense_oracle(n, z1, z2):
-    assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
-    block = check_composition_law(n, z1, z2).residual
+    assert [c["residual"] for c in reference_checks(n)] == dense_reference_residuals(n)
+    block = check_composition_law(n, z1, z2)["residual"]
     assert abs(block - dense_composition_residual(n, z1, z2)) <= ORACLE_TOL
 
 
@@ -203,9 +202,9 @@ SEEDS = st.integers(0, 2**64 - 1)
 
 def sorted_union(config, suites, samples, seed):
     """The checks of the single-suite reports, in report order."""
-    checks = [c for s in suites for c in run_suite(config, s, samples, seed).checks]
-    checks.sort(key=lambda c: (c.name, c.context.get("sample", -1)))
-    return json.dumps([c.to_json() for c in checks])
+    checks = [c for s in suites for c in run_suite(config, s, samples, seed)["checks"]]
+    checks.sort(key=lambda c: (c["name"], c["context"].get("sample", -1)))
+    return json.dumps(checks)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,7 +219,7 @@ def test_all_is_the_union_of_the_suites_that_apply(family, symmetric, samples, s
     if config.dim % 2 == 0:
         suites.append("composition")
     report = run_suite(config, "all", samples, seed)
-    assert json.dumps(report.to_json()["checks"]) == sorted_union(
+    assert json.dumps(report["checks"]) == sorted_union(
         config, suites, samples, seed
     )
 
@@ -230,22 +229,17 @@ def test_all_is_the_union_of_the_suites_that_apply(family, symmetric, samples, s
 def test_reference_all_is_composition_and_projectors(n, samples, seed):
     config = ReferenceConfig(n)
     report = run_suite(config, "all", samples, seed)
-    assert json.dumps(report.to_json()["checks"]) == sorted_union(
+    assert json.dumps(report["checks"]) == sorted_union(
         config, ["composition", "projectors"], samples, seed
     )
     # each sample draws only its two composition points
     rng = np.random.Generator(np.random.Philox(seed))
-    composition = run_suite(config, "composition", samples, seed).checks
+    composition = run_suite(config, "composition", samples, seed)["checks"]
     assert len(composition) == samples + 1
     for sample, check in enumerate(composition):
         z1, z2 = rng.uniform(-0.9, 0.9, size=2)
-        expected = check_composition_law(n, z1, z2, tol=check.tolerance)
-        assert check.to_json() == CheckResult(
-            expected.name,
-            expected.residual,
-            expected.tolerance,
-            dict(sample=sample, **expected.context),
-        ).to_json()
+        expected = check_composition_law(n, z1, z2, tol=check["tolerance"])
+        assert check == dict(expected, context=dict(sample=sample, **expected["context"]))
 
 
 json_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

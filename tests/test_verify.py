@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import braidmat
-from braidmat import braid, verify
+from braidmat import braid, cli, verify
 from braidmat import (
     BraidFamily,
-    CheckResult,
     ConfigError,
     DomainError,
     ModeError,
@@ -43,7 +42,7 @@ def random_family(dim, mode, seed):
 
 def test_braid_trivial_at_zero():
     family = random_family(4, "real", 0)
-    assert check_braid(family, 0.0, 0.0).residual == 0.0
+    assert check_braid(family, 0.0, 0.0)["residual"] == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -54,8 +53,8 @@ def test_braid_residual_small(dim, mode):
     for _ in range(3):
         theta, theta_prime = rng.uniform(-1, 1, 2)
         result = check_braid(family, theta, theta_prime)
-        assert result.passed
-        assert result.residual <= 1e-10
+        assert result["passed"]
+        assert result["residual"] <= 1e-10
 
 
 def test_braid_negative_control():
@@ -68,8 +67,8 @@ def test_braid_negative_control():
         make_parameters(p.dim, p.mode, p.values, overrides=overrides)
     )
     result = check_braid(broken, 0.63, -0.41)
-    assert not result.passed
-    assert result.residual > 1e-3
+    assert not result["passed"]
+    assert result["residual"] > 1e-3
 
 
 def test_import_builds_no_slot_layout():
@@ -113,14 +112,14 @@ def test_slot_layout_is_built_once_per_side_length_and_read_only():
 
 def test_unitarity_at_zero():
     family = random_family(4, "unitary", 2)
-    assert check_unitarity(family, 0.0).residual == 0.0
+    assert check_unitarity(family, 0.0)["residual"] == 0.0
 
 
 def test_unitarity_random():
     family = random_family(4, "unitary", 3)
     result = check_unitarity(family, 0.7)
-    assert result.residual <= 1e-12
-    assert result.context["theta_reversal_residual"] <= 1e-13
+    assert result["residual"] <= 1e-12
+    assert result["context"]["theta_reversal_residual"] <= 1e-13
 
 
 def test_unitarity_rejects_real_mode():
@@ -143,15 +142,15 @@ def test_real_mode_unitarity_defect_scale():
 
 def test_factorization_trivial():
     family = random_family(4, "real", 5)
-    assert check_factorization(family, 0.0, 0.0).residual == 0.0
+    assert check_factorization(family, 0.0, 0.0)["residual"] == 0.0
 
 
 @pytest.mark.parametrize("mode", ["real", "unitary"])
 def test_factorization_random(mode):
     family = random_family(4, mode, 6)
     result = check_factorization(family, 0.3, 0.5)
-    assert result.residual <= 1e-11
-    assert result.context["inverse_residual"] <= 1e-11
+    assert result["residual"] <= 1e-11
+    assert result["context"]["inverse_residual"] <= 1e-11
 
 
 def test_inverse_as_sign_flip():
@@ -165,41 +164,41 @@ def test_inverse_as_sign_flip():
 
 def test_exponential_at_zero():
     family = random_family(2, "real", 8)
-    assert check_exponential(family, 0.0).residual <= 1e-15
+    assert check_exponential(family, 0.0)["residual"] <= 1e-15
 
 
 def test_exponential_closed_form_dim2():
     params = make_parameters(2, "real", {(1, 1, +1): 1.0, (1, 1, -1): -1.0})
     result = check_exponential(BraidFamily.create(params), 1.0)
-    assert result.residual <= 1e-11
+    assert result["residual"] <= 1e-11
 
 
 def test_exponential_dim6_unitary():
     family = random_family(6, "unitary", 9)
     result = check_exponential(family, 2.0)
-    assert result.residual <= 1e-10
-    assert result.context["exp_exchange_residual"] <= 1e-10
+    assert result["residual"] <= 1e-10
+    assert result["context"]["exp_exchange_residual"] <= 1e-10
 
 
 # ------------------------------------------------------------ composition
 
 
 def test_composition_trivial():
-    assert check_composition_law(1, 0.0, 0.0).residual == 0.0
+    assert check_composition_law(1, 0.0, 0.0)["residual"] == 0.0
 
 
 def test_composition_half_half():
     result = check_composition_law(1, 0.5, 0.5)
-    assert result.passed
-    assert result.context["z3"] == pytest.approx(4.0 / 3.0, abs=1e-15)
-    assert result.context["scalar"] == pytest.approx(0.75, abs=1e-15)
-    assert result.residual <= 1e-13
+    assert result["passed"]
+    assert result["context"]["z3"] == pytest.approx(4.0 / 3.0, abs=1e-15)
+    assert result["context"]["scalar"] == pytest.approx(0.75, abs=1e-15)
+    assert result["residual"] <= 1e-13
 
 
 def test_composition_second_point():
     result = check_composition_law(2, 0.2, 0.3)
-    assert result.context["z3"] == pytest.approx(0.5 / 0.94, abs=1e-15)
-    assert result.residual <= 1e-13
+    assert result["context"]["z3"] == pytest.approx(0.5 / 0.94, abs=1e-15)
+    assert result["residual"] <= 1e-13
 
 
 def test_composition_pole():
@@ -207,18 +206,18 @@ def test_composition_pole():
         check_composition_law(1, 2.0, 0.5)
 
 
-# ------------------------------------------------------------ CheckResult
+# ------------------------------------------------------------ check records
 
 
 def test_check_result_passed_definition():
-    assert CheckResult("x", 1e-11, 1e-10).passed
-    assert CheckResult("x", 1e-10, 1e-10).passed  # boundary counts as pass
-    assert not CheckResult("x", 2e-10, 1e-10).passed
-    assert not CheckResult("x", math.nan, 1e-10).passed
+    assert verify._check("x", 1e-11, 1e-10, {})["passed"]
+    assert verify._check("x", 1e-10, 1e-10, {})["passed"]  # boundary counts as pass
+    assert not verify._check("x", 2e-10, 1e-10, {})["passed"]
+    assert not verify._check("x", math.nan, 1e-10, {})["passed"]
 
 
 def test_check_result_json_maps_nan_to_null():
-    obj = CheckResult("x", math.nan, 1e-10, {"error": "boom"}).to_json()
+    obj = verify._check("x", math.nan, 1e-10, {"error": "boom"})
     assert obj["residual"] is None
     assert obj["passed"] is False
     assert json.dumps(obj)  # serializable as strict JSON
@@ -235,9 +234,9 @@ def braid_config(dim, mode, seed=0):
 
 def test_run_suite_all_passes():
     report = run_suite(braid_config(2, "unitary"), suite="all", samples=5)
-    assert report.passed
-    assert report.dim == 2
-    names = {c.name for c in report.checks}
+    assert report["passed"]
+    assert report["N"] == 2
+    names = {c["name"] for c in report["checks"]}
     assert {
         "braid",
         "unitarity",
@@ -252,16 +251,16 @@ def test_run_suite_all_passes():
 
 def test_run_suite_real_mode_all_skips_unitarity():
     report = run_suite(braid_config(2, "real"), suite="all", samples=2)
-    assert report.passed
-    assert "unitarity" not in {c.name for c in report.checks}
+    assert report["passed"]
+    assert "unitarity" not in {c["name"] for c in report["checks"]}
 
 
 def test_run_suite_explicit_unitarity_on_real_mode_fails():
     report = run_suite(braid_config(2, "real"), suite="unitarity", samples=2)
-    assert not report.passed
-    failed = [c for c in report.checks if not c.passed]
+    assert not report["passed"]
+    failed = [c for c in report["checks"] if not c["passed"]]
     assert failed
-    assert all("mode" in c.context.get("error", "") for c in failed)
+    assert all("mode" in c["context"].get("error", "") for c in failed)
 
 
 def test_run_suite_negative_control_fails():
@@ -269,28 +268,59 @@ def test_run_suite_negative_control_fails():
     overrides = p.overrides + ((1, 3, +1, 1.5),)
     config = make_parameters(p.dim, p.mode, p.values, overrides=overrides)
     report = run_suite(config, suite="braid", samples=3)
-    assert not report.passed
+    assert not report["passed"]
 
 
 def test_run_suite_odd_dim_composition_fails_when_explicit():
     report = run_suite(braid_config(3, "unitary"), suite="composition", samples=1)
-    assert not report.passed
+    assert not report["passed"]
     # odd side "all" simply omits the inapplicable check
     report_all = run_suite(braid_config(3, "unitary"), suite="all", samples=1)
-    assert report_all.passed
-    assert "composition" not in {c.name for c in report_all.checks}
+    assert report_all["passed"]
+    assert "composition" not in {c["name"] for c in report_all["checks"]}
+
+
+def test_odd_dim_composition_is_one_failed_record_per_sample(tmp_path):
+    # the explicit composition check at odd N goes through the same guard
+    # as a check that raised: residual null, never passed, error in context
+    path = tmp_path / "n3.json"
+    path.write_text(json.dumps({
+        "N": 3, "mode": "unitary",
+        "parameters": [{"i": 1, "j": 2, "epsilon": "+", "value": 0.7}],
+    }))
+    config = braidmat.load_config(path)
+    report = run_suite(config, suite="composition", samples=1)
+    error = "composition law needs an even side length (got N=3)"
+    assert [c["context"]["sample"] for c in report["checks"]] == [0, 1]
+    assert report["checks"][0]["context"]["parameter_digest"] == config.digest()
+    for sample, check in enumerate(report["checks"]):
+        digest = check["context"]["parameter_digest"]
+        assert check == {
+            "name": "composition",
+            "residual": None,
+            "tolerance": 1e-13,
+            "passed": False,
+            "context": {"sample": sample, "parameter_digest": digest, "error": error},
+        }
+        assert list(check["context"]) == ["sample", "parameter_digest", "error"]
+    assert report["passed"] is False
+    out = tmp_path / "report.json"
+    argv = ["verify", "--config", str(path), "--suite", "composition",
+            "--samples", "1", "--report", str(out)]
+    assert cli.main(argv) == 1
+    assert out.read_text() == json.dumps(report, indent=2) + "\n"
 
 
 def test_run_suite_is_deterministic():
     first = run_suite(braid_config(4, "unitary"), suite="all", samples=3)
     second = run_suite(braid_config(4, "unitary"), suite="all", samples=3)
-    assert json.dumps(first.to_json()) == json.dumps(second.to_json())
+    assert json.dumps(first) == json.dumps(second)
 
 
 def test_run_suite_seed_changes_draws():
     first = run_suite(braid_config(4, "real"), suite="braid", samples=2, seed=1)
     second = run_suite(braid_config(4, "real"), suite="braid", samples=2, seed=2)
-    assert json.dumps(first.to_json()) != json.dumps(second.to_json())
+    assert json.dumps(first) != json.dumps(second)
 
 
 def test_run_suite_projectors_draws_no_samples(monkeypatch):
@@ -307,19 +337,19 @@ def test_run_suite_projectors_draws_no_samples(monkeypatch):
     report = run_suite(config, suite="projectors", samples=50)
     assert calls == []
     expected = run_suite(config, suite="projectors", samples=0)
-    assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
+    assert json.dumps(report) == json.dumps(expected)
 
 
 def test_run_suite_braid_dim8():
     report = run_suite(braid_config(8, "real"), suite="braid", samples=2)
-    assert report.passed
+    assert report["passed"]
 
 
 def test_run_suite_reference_config():
     report = run_suite(ReferenceConfig(n=1), suite="all", samples=4)
-    assert report.passed
-    assert report.mode == "reference"
-    assert report.dim == 2
+    assert report["passed"]
+    assert report["mode"] == "reference"
+    assert report["N"] == 2
 
 
 def test_run_suite_reference_rejects_braid_suite():
@@ -333,8 +363,7 @@ def test_run_suite_rejects_unknown_suite():
 
 
 def test_report_json_schema():
-    report = run_suite(braid_config(2, "unitary"), suite="braid", samples=1)
-    obj = report.to_json()
+    obj = run_suite(braid_config(2, "unitary"), suite="braid", samples=1)
     assert set(obj) == {"N", "mode", "suite", "seed", "tolerance", "checks", "passed"}
     assert obj["N"] == 2
     assert obj["mode"] == "unitary"
@@ -349,7 +378,7 @@ def test_report_json_schema():
 
 def test_tolerance_schedule():
     report = run_suite(braid_config(2, "unitary"), suite="all", samples=1)
-    tol = {c.name: c.tolerance for c in report.checks}
+    tol = {c["name"]: c["tolerance"] for c in report["checks"]}
     assert tol["braid"] == 1e-10
     assert tol["exponential"] == 1e-10
     assert tol["factorization"] == pytest.approx(1e-11)
@@ -363,7 +392,7 @@ def test_reference_checks_report_the_construction_residuals():
     # reference_checks reuses the residuals measured while the orbit blocks
     # were built; the dense oracle pair gives the same bits
     for n in (1, 2, 3):
-        assert [c.residual for c in reference_checks(n)] == dense_reference_residuals(n)
+        assert [c["residual"] for c in reference_checks(n)] == dense_reference_residuals(n)
 
 
 @pytest.mark.parametrize("dim", [4, 5])
@@ -375,8 +404,8 @@ def test_per_sample_checks_never_build_a_dense_matrix(monkeypatch, dim):
     monkeypatch.setattr(BraidFamily, "matrix", refuse)
     for suite in ("braid", "unitarity", "factorization", "exponential"):
         report = run_suite(params, suite=suite, samples=2)
-        assert report.passed, suite
-        assert len(report.checks) == 3 * (2 if suite == "unitarity" else 1)
+        assert report["passed"], suite
+        assert len(report["checks"]) == 3 * (2 if suite == "unitarity" else 1)
 
 
 def test_projector_and_composition_checks_stay_small_at_n64():
@@ -392,6 +421,6 @@ def test_projector_and_composition_checks_stay_small_at_n64():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.passed and composition.passed
-    assert len(report.checks) == 11
+    assert report["passed"] and composition["passed"]
+    assert len(report["checks"]) == 11
     assert peak < 16 * 2**20
