@@ -10,7 +10,6 @@ action on product states.
 """
 
 from .braid import (
-    BlockStructureReport,
     BraidFamily,
     block_structure,
     canonical_keys,
@@ -18,7 +17,6 @@ from .braid import (
 )
 from .config import ReferenceConfig, load_config, parse_config
 from .entangle import (
-    PeriodResult,
     degenerate_classes,
     detect_period,
     exceptional_scan,
@@ -35,7 +33,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import matrix_exponential, matrix_from_json, matrix_to_json
-from .projectors import ProjectorFamily, ProjectorKey, projector_family
+from .projectors import ProjectorFamily, projector_family
 from .verify import (
     check_braid,
     check_composition_law,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError",
-    "BlockStructureReport",
     "BraidFamily",
     "BraidmatError",
     "ConfigError",
@@ -60,9 +57,7 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "ModeError",
-    "PeriodResult",
     "ProjectorFamily",
-    "ProjectorKey",
     "ReferenceConfig",
     "SizeLimitError",
     "block_structure",

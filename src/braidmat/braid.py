@@ -113,8 +113,9 @@ class BraidFamily:
 
     ``values`` holds the canonical free values; ``exponents`` is the full
     (2, N, N) grid expanded by mirror symmetry (sign index 0 is +, 1 is -).
-    ``exact_values`` is populated only when every input value was exact
-    (int, Fraction, or "p/q" string).  ``overrides`` records deliberate
+    ``exact_values`` holds the given values as Fractions when every input
+    value was exact (int, Fraction, or "p/q" string) and there are no
+    overrides, and is None otherwise.  ``overrides`` records deliberate
     symmetry violations injected for negative-control experiments; any
     override voids the mirror-symmetry guarantee.  Build one with
     ``make_parameters`` or ``config.load_config``.
@@ -133,10 +134,6 @@ class BraidFamily:
         this (``benchmarks/workloads.py``, ``benchmarks/setup_probe.py``)
         and its tracer wraps it by name, so it stays while they do."""
         return family
-
-    @property
-    def symmetric(self) -> bool:
-        return not self.overrides
 
     @cached_property
     def max_rate(self) -> float:
@@ -182,7 +179,6 @@ class BraidFamily:
                     f"|theta| = {abs(theta):.3g} exceeds {MAX_REAL_THETA} "
                     "in real mode (overflow guard)"
                 )
-            ep, em = np.exp(mp * theta), np.exp(mm * theta)
         else:
             phase = self.max_rate * abs(theta)
             if phase > MAX_PHASE:
@@ -190,10 +186,14 @@ class BraidFamily:
                     f"max|m|*|theta| = {phase:.3g} exceeds 2**52 in unitary "
                     "mode: the phase has no fractional bits left (precision guard)"
                 )
-            ep, em = np.exp(1j * mp * theta), np.exp(1j * mm * theta)
-        if not (np.isfinite(ep).all() and np.isfinite(em).all()):
+            mp, mm = 1j * mp, 1j * mm
+        # overflow is reported by the finiteness check below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            ep, em = np.exp(mp * theta), np.exp(mm * theta)
+            diag, anti = 0.5 * (ep + em), 0.5 * (ep - em)
+        if not (np.isfinite(diag).all() and np.isfinite(anti).all()):
             raise AccuracyError("braid coefficients overflowed")
-        return 0.5 * (ep + em), 0.5 * (ep - em)
+        return diag, anti
 
     def matrix(self, theta: float) -> np.ndarray:
         """Braid matrix at theta (dim^2 x dim^2): entry (i,j) of the grids
@@ -244,7 +244,8 @@ def make_parameters(
 
     Keys are (i, j, epsilon) with i, j at most ceil(dim/2) and epsilon
     given as +1/-1 or "+"/"-" (i and j ints, not bools; anything else
-    raises ConfigError); missing classes default to zero.  For odd
+    raises ConfigError, as do two keys that name one class, such as
+    (1, 1, "+") and (1, 1, 1)); missing classes default to zero.  For odd
     dim the central class must be absent or zero.  The full exponent grid
     is populated through mirror symmetry, then any ``overrides`` are
     patched in verbatim; each override is an (i, j, epsilon, value)
@@ -259,8 +260,12 @@ def make_parameters(
     parsed: dict[ParamKey, float] = {key: 0.0 for key in allowed}
     # the given exact values; None once any value is a float
     exact: dict[ParamKey, Fraction] | None = {}
+    given: set[ParamKey] = set()
     for raw_key, raw_value in values.items():
         key = _normalize_key(raw_key)
+        if key in given:
+            raise ConfigError(f"parameter class (i, j, epsilon) = {key} is given twice")
+        given.add(key)
         value, exact_value = _parse_value(raw_value)
         if key not in allowed:
             if center is not None and (key[0], key[1]) == center:
@@ -282,8 +287,6 @@ def make_parameters(
             exact = None
     if overrides:
         exact = None
-    elif exact is not None:
-        exact = {**dict.fromkeys(allowed, Fraction(0)), **exact}
     canonical = np.zeros((2, half, half))
     for (i, j, epsilon), value in parsed.items():
         canonical[(1 - epsilon) // 2, i - 1, j - 1] = value
@@ -403,6 +406,10 @@ def block_grids(blocks: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return grids[0].reshape(dim, dim), grids[1].reshape(dim, dim)
 
 
+# Largest deviation from the pattern that ``block_structure`` accepts.
+PATTERN_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class BlockStructureReport:
     """Sparsity/symmetry conformance of a built braid matrix.
@@ -411,11 +418,9 @@ class BlockStructureReport:
     diagonal and antidiagonal; the asymmetry fields measure how far the
     diagonal and antidiagonal coefficient grids are from mirror-reflection
     invariance in each index.  ``conforms`` is True when everything is
-    within tolerance; violations are reported, never raised.
+    within PATTERN_TOL; violations are reported, never raised.
     """
 
-    dim: int
-    tolerance: float
     max_off_pattern: float
     max_diagonal_asymmetry: float
     max_antidiagonal_asymmetry: float
@@ -423,15 +428,13 @@ class BlockStructureReport:
     @property
     def conforms(self) -> bool:
         return (
-            self.max_off_pattern <= self.tolerance
-            and self.max_diagonal_asymmetry <= self.tolerance
-            and self.max_antidiagonal_asymmetry <= self.tolerance
+            self.max_off_pattern <= PATTERN_TOL
+            and self.max_diagonal_asymmetry <= PATTERN_TOL
+            and self.max_antidiagonal_asymmetry <= PATTERN_TOL
         )
 
 
-def block_structure(
-    matrix: np.ndarray, dim: int, tolerance: float = 1e-12
-) -> BlockStructureReport:
+def block_structure(matrix: np.ndarray, dim: int) -> BlockStructureReport:
     """Check the diagonal + antidiagonal pattern of a braid matrix.
 
     In block terms (dim x dim blocks of side dim) this is the familiar
@@ -449,8 +452,6 @@ def block_structure(
         float(np.abs(anti_grid - anti_grid[:, ::-1]).max()),
     )
     return BlockStructureReport(
-        dim=dim,
-        tolerance=tolerance,
         max_off_pattern=off_pattern,
         max_diagonal_asymmetry=diag_asym,
         max_antidiagonal_asymmetry=anti_asym,

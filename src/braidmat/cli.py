@@ -217,7 +217,7 @@ def cmd_entangle(args: argparse.Namespace) -> int:
 
 def cmd_period(args: argparse.Namespace) -> int:
     family = _require_braid_config(load_config(args.config), "period")
-    _emit(detect_period(family).to_json(), None)
+    _emit(detect_period(family), None)
     return 0
 
 
@@ -282,10 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BraidmatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BraidmatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

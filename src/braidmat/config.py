@@ -57,13 +57,17 @@ def parse_config(obj: object) -> Config:
     values = {}
     for entry in _entry_list(obj.get("parameters", []), "parameters"):
         key, value = _parse_entry(entry)
-        if key in values:
+        try:
+            duplicate = key in values
+        except TypeError:  # an array or object as i or j is unhashable
+            raise ConfigError(f"parameter key {key!r}: i and j must be integers") from None
+        if duplicate:
             raise ConfigError(f"duplicate parameter class {entry}")
         values[key] = value
     overrides = []
     for entry in _entry_list(obj.get("symmetry_overrides", []), "symmetry_overrides"):
         key, value = _parse_entry(entry)
-        overrides.append((key[0], key[1], key[2], value))
+        overrides.append((*key, value))
     return make_parameters(dim, mode, values, overrides=tuple(overrides))
 
 
@@ -82,21 +86,17 @@ def _entry_list(raw: object, field_name: str) -> list:
     return raw
 
 
-def _parse_entry(entry: object) -> tuple[tuple[int, int, int], object]:
+def _parse_entry(entry: object) -> tuple[tuple, object]:
+    """Raw key (i, j, epsilon) and value; ``make_parameters`` checks types."""
     if not isinstance(entry, dict):
         raise ConfigError(f"parameter entry must be an object, got {entry!r}")
     try:
-        epsilon = entry["epsilon"]
-        value = entry["value"]
+        i, j, epsilon, value = entry["i"], entry["j"], entry["epsilon"], entry["value"]
     except KeyError as exc:
         raise ConfigError(f"malformed parameter entry {entry!r}: {exc}") from exc
-    i = _integer(entry, "i", "parameter entry")
-    j = _integer(entry, "j", "parameter entry")
     if epsilon not in ("+", "-"):
         raise ConfigError(f"epsilon must be '+' or '-', got {epsilon!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"parameter value must be a number or 'p/q', got {value!r}")
-    return (i, j, +1 if epsilon == "+" else -1), value
+    return (i, j, epsilon), value
 
 
 def load_config(path: str | Path) -> Config:

@@ -25,7 +25,6 @@ Schmidt data either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,8 +35,9 @@ from .errors import AccuracyError
 # ``entangle.schmidt_coefficients``.
 from .linalg import schmidt_coefficients  # noqa: F401
 
-# Singular values above this count toward the Schmidt rank; structural
-# zeros are exact while rounding noise sits many orders lower.
+# Singular values above this count toward the Schmidt rank, and column
+# entries above it toward an image's components in ``exceptional_scan``;
+# structural zeros are exact while rounding noise sits many orders lower.
 RANK_TOL = 1e-8
 
 # Proximity (in radians, modulo pi) at which a class's coefficient is
@@ -46,30 +46,6 @@ GENERICITY_TOL = 1e-6
 
 _PERIOD_PROBES = (0.37, 1.51)
 _PERIOD_VERIFY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class PeriodResult:
-    """Commensurability/periodicity verdict for a unitary family.
-
-    ``commensurate`` is None when the exponents were supplied as floats
-    (commensurability is undecidable from rounded values); ``degenerate``
-    flags the all-zero family, which is constant in theta.
-    """
-
-    periodic: bool
-    period: float | None
-    commensurate: bool | None
-    degenerate: bool = False
-    verification_residuals: tuple[float, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "periodic": self.periodic,
-            "period": self.period,
-            "commensurate": self.commensurate,
-            "degenerate": self.degenerate,
-        }
 
 
 def _column_moduli(family: BraidFamily, theta: float) -> np.ndarray:
@@ -124,12 +100,10 @@ def scan_products(family: BraidFamily, theta: float) -> list[dict]:
     ]
 
 
-def exceptional_scan(
-    family: BraidFamily, theta: float, tol: float = RANK_TOL
-) -> list[tuple[int, int]]:
+def exceptional_scan(family: BraidFamily, theta: float) -> list[tuple[int, int]]:
     """Basis states whose basis-product status is conserved at this theta.
 
-    A state qualifies when its image has a single component above ``tol``
+    A state qualifies when its image has a single component above RANK_TOL
     (hence Schmidt rank 1 with the image a basis product up to phase).
     At theta = 0 every state qualifies; at generic parameters the scan is
     empty for even side lengths and contains exactly the central state
@@ -137,13 +111,13 @@ def exceptional_scan(
     combinations can be diagnosed with ``degenerate_classes``.
     """
     require_mode(family, "unitary")
-    components = (_column_moduli(family, theta) > tol).sum(axis=1)
+    components = (_column_moduli(family, theta) > RANK_TOL).sum(axis=1)
     a, b = np.nonzero(components.reshape(family.dim, family.dim) == 1)
     return list(zip((a + 1).tolist(), (b + 1).tolist()))
 
 
 def degenerate_classes(
-    family: BraidFamily, theta: float, tol: float = GENERICITY_TOL
+    family: BraidFamily, theta: float
 ) -> list[tuple[tuple[int, int], str]]:
     """Canonical (i, j) classes whose coefficients degenerate at theta.
 
@@ -162,15 +136,17 @@ def degenerate_classes(
             continue
         delta = family.value(i, j, +1) - family.value(i, j, -1)
         phase = abs(delta * theta) % (2.0 * math.pi)
-        if min(phase, 2.0 * math.pi - phase) <= tol:
+        if min(phase, 2.0 * math.pi - phase) <= GENERICITY_TOL:
             flagged.append(((i, j), "conserved"))
-        elif abs(phase - math.pi) <= tol:
+        elif abs(phase - math.pi) <= GENERICITY_TOL:
             flagged.append(((i, j), "swapped"))
     return flagged
 
 
-def detect_period(family: BraidFamily) -> PeriodResult:
-    """Period of the unitary family in theta, from exact rational exponents.
+def detect_period(family: BraidFamily) -> dict:
+    """Period of the unitary family in theta, from exact rational exponents,
+    as the record ``period`` writes: ``{"periodic", "period",
+    "commensurate", "degenerate"}``.
 
     Rational exponents are always mutually commensurate; the period is
     2*pi/g where g is the largest rational dividing every exponent
@@ -180,18 +156,19 @@ def detect_period(family: BraidFamily) -> PeriodResult:
     period exhausts double precision) raises AccuracyError rather than
     returning an unverified claim.
 
-    Exponents supplied as floats are never rationalized: the result is
-    then commensurate=None, periodic=False.  All-zero exponents give the
+    Exponents supplied as floats are never rationalized: commensurability
+    is undecidable from rounded values, so the record is then
+    commensurate None, periodic false.  All-zero exponents give the
     constant identity family, reported as degenerate with period 0.
     """
     require_mode(family, "unitary")
     if family.exact_values is None:
-        return PeriodResult(periodic=False, period=None, commensurate=None)
+        return {"periodic": False, "period": None, "commensurate": None,
+                "degenerate": False}
     nonzero = [f for f in family.exact_values.values() if f != 0]
     if not nonzero:
-        return PeriodResult(
-            periodic=True, period=0.0, commensurate=True, degenerate=True
-        )
+        return {"periodic": True, "period": 0.0, "commensurate": True,
+                "degenerate": True}
     g = Fraction(
         math.gcd(*(abs(f.numerator) for f in nonzero)),
         math.lcm(*(f.denominator for f in nonzero)),
@@ -207,9 +184,5 @@ def detect_period(family: BraidFamily) -> PeriodResult:
             f"period {period!r} could not be verified to "
             f"{_PERIOD_VERIFY_TOL}: residuals {residuals}"
         )
-    return PeriodResult(
-        periodic=True,
-        period=period,
-        commensurate=True,
-        verification_residuals=tuple(residuals),
-    )
+    return {"periodic": True, "period": period, "commensurate": True,
+            "degenerate": False}

@@ -73,13 +73,13 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def matrix_exponential(a: np.ndarray, max_norm: float = MAX_EXP_NORM) -> np.ndarray:
+def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """exp(A) by scaling and squaring with a truncated Taylor kernel.
 
     The argument is scaled by a power of two until its 1-norm is at most
     0.5, the series is summed by Horner's rule, and the result is squared
     back up.  Backward error stays around 1e-12 (relative, max-norm) for
-    1-norms up to ``max_norm``; larger inputs raise AccuracyError rather
+    1-norms up to MAX_EXP_NORM; larger inputs raise AccuracyError rather
     than silently degrade.  A stack (K, n, n) is scaled as one, by the
     largest 1-norm of its matrices.  With four or more axes, as in
     (G, K, n, n), the first axis indexes G such stacks, each scaled by
@@ -98,9 +98,9 @@ def matrix_exponential(a: np.ndarray, max_norm: float = MAX_EXP_NORM) -> np.ndar
     for g, (ok, norm) in enumerate(zip(finite, norms.tolist())):
         if not ok:
             raise ValueError("matrix has non-finite entries")
-        if norm > max_norm:
+        if norm > MAX_EXP_NORM:
             raise AccuracyError(
-                f"matrix 1-norm {norm:.3g} exceeds {max_norm:.3g}; "
+                f"matrix 1-norm {norm:.3g} exceeds {MAX_EXP_NORM:.3g}; "
                 "accuracy is not guaranteed"
             )
         if norm > _EXP_SCALE_TARGET:

@@ -32,19 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterator, Literal
 
 import numpy as np
 
 from .errors import DimensionError
 
 FamilyKind = Literal["unified", "Q"]
-
-
-class ProjectorKey(NamedTuple):
-    i: int
-    j: int
-    epsilon: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +57,7 @@ class ProjectorFamily:
 
     dim: int
     kind: FamilyKind
-    keys: tuple[ProjectorKey, ...]
+    keys: tuple[tuple[int, int, int], ...]
     vectors: np.ndarray
     weights: np.ndarray
 
@@ -77,7 +71,7 @@ class ProjectorFamily:
         return self.weights[:, None, None] * v[:, :, None] * v.conj()[:, None, :]
 
 
-def _members(dim: int, kind: FamilyKind) -> Iterator[tuple[ProjectorKey, complex]]:
+def _members(dim: int, kind: FamilyKind) -> Iterator[tuple[tuple, complex]]:
     """Keys of the family in order, each with the coefficient s in its
     image vector |i,j> + s |i~,j~> (0 at the odd-N centre, whose image is
     |i,j> alone).  Both kinds run over the first half of the product
@@ -100,7 +94,7 @@ def _members(dim: int, kind: FamilyKind) -> Iterator[tuple[ProjectorKey, complex
             else:
                 # (-1)^j~ with j~ = dim - j the 1-based mirrored column
                 s = -epsilon * 1j * (-1.0) ** (dim - j)
-            yield ProjectorKey(i + 1, j + 1, epsilon), s
+            yield (i + 1, j + 1, epsilon), s
 
 
 @lru_cache(maxsize=None)

@@ -319,9 +319,9 @@ def check_composition_law(
     )
 
 
-def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[dict]:
+def projector_checks(dim: int) -> list[dict]:
     """Idempotency, orthogonality, completeness, and trace for every
-    projector family available at this side length.
+    projector family available at this side length, at PROJECTOR_TOL.
 
     Member P_k = w_k v_k v_k^dagger acts on the mirror pair (e_r, e_r~),
     r = k // 2, so members of different pairs have disjoint supports and
@@ -348,14 +348,14 @@ def projector_checks(dim: int, tol: float = PROJECTOR_TOL) -> list[dict]:
         if len(fam) % 2:  # the centre alone resolves its single position
             complete = max(complete, float(abs(blocks[-1, 0, 0] - 1.0)))
         ctx = {"kind": kind, "members": len(fam)}
-        results.append(_check("projectors_idempotent", idem, tol, dict(ctx)))
-        results.append(_check("projectors_orthogonal", orth, tol, dict(ctx)))
-        results.append(_check("projectors_complete", complete, tol, dict(ctx)))
-        results.append(_check("projectors_unit_trace", trace_dev, tol, dict(ctx)))
+        results.append(_check("projectors_idempotent", idem, PROJECTOR_TOL, dict(ctx)))
+        results.append(_check("projectors_orthogonal", orth, PROJECTOR_TOL, dict(ctx)))
+        results.append(_check("projectors_complete", complete, PROJECTOR_TOL, dict(ctx)))
+        results.append(_check("projectors_unit_trace", trace_dev, PROJECTOR_TOL, dict(ctx)))
         if kind == "Q":
             # member w v v^dagger with max|v| = 1 misses Hermiticity by 2|Im w|
             herm = 2 * float(np.abs(w.imag).max())
-            results.append(_check("projectors_hermitian", herm, tol, dict(ctx)))
+            results.append(_check("projectors_hermitian", herm, PROJECTOR_TOL, dict(ctx)))
     return results
 
 

@@ -142,16 +142,20 @@ def test_malformed_override_is_refused_by_name(override):
         make_parameters(2, "real", {}, overrides=(override,))
 
 
-def test_exact_values_default_to_zero_only_when_every_value_is_exact():
+@pytest.mark.parametrize("keys", [[(1, 1, "+"), (1, 1, 1)], [(1, 2, -1), (1, 2, "-")]])
+def test_two_keys_naming_one_class_are_refused(keys):
+    values = dict(zip(keys, (1.0, 2.0)))
+    with pytest.raises(ConfigError, match=r"class .* is given twice"):
+        make_parameters(4, "real", values)
+
+
+def test_exact_values_hold_only_the_given_values_when_every_value_is_exact():
     given = {(1, 1, "+"): 2, (2, 1, "-"): "1/3", (1, 2, "+"): Fraction(-3, 4)}
     params = make_parameters(4, "unitary", given)
-    expected = {key: Fraction(0) for key in canonical_keys(4)}
-    expected.update({(1, 1, 1): Fraction(2), (2, 1, -1): Fraction(1, 3),
-                     (1, 2, 1): Fraction(-3, 4)})
+    expected = {(1, 1, 1): Fraction(2), (2, 1, -1): Fraction(1, 3),
+                (1, 2, 1): Fraction(-3, 4)}
     assert params.exact_values == expected
-    assert make_parameters(4, "unitary", {}).exact_values == dict.fromkeys(
-        canonical_keys(4), Fraction(0)
-    )
+    assert make_parameters(4, "unitary", {}).exact_values == {}
     assert make_parameters(4, "unitary", {**given, (2, 2, "-"): 0.5}).exact_values is None
     assert make_parameters(4, "unitary", given, ((1, 1, 1, 2),)).exact_values is None
 
@@ -160,7 +164,7 @@ def test_override_breaks_symmetry_and_flags_it():
     params = random_params(4, "real", 5)
     overrides = params.overrides + ((1, 3, +1, 1.25),)
     broken = make_parameters(params.dim, params.mode, params.values, overrides=overrides)
-    assert not broken.symmetric
+    assert broken.overrides
     assert broken.exact_values is None
     assert broken.value(1, 3, +1) == 1.25
     assert broken.value(1, 2, +1) == params.value(1, 2, +1)
@@ -194,7 +198,8 @@ def test_a_parameter_set_is_its_braid_family():
     family = make_parameters(2, "real", {(1, 1, +1): 1.0})
     assert isinstance(family, BraidFamily)
     assert BraidFamily.create(family) is family
-    gone = ("ParameterSet", "EntanglementRecord", "CheckResult", "VerificationReport")
+    gone = ("ParameterSet", "EntanglementRecord", "CheckResult", "VerificationReport",
+            "PeriodResult", "ProjectorKey", "BlockStructureReport")
     for name in gone:
         assert not hasattr(braidmat, name)
         assert name not in braidmat.__all__
@@ -326,9 +331,7 @@ def test_spectrum_via_det_and_trace():
         params = random_params(dim, "real", 30 + dim)
         family = BraidFamily.create(params)
         theta = 0.77
-        exponents = [
-            params.value(key.i, key.j, key.epsilon) for key in family.basis.keys
-        ]
+        exponents = [params.value(*key) for key in family.basis.keys]
         got = family.matrix(theta)
         det_expected = math.exp(theta * math.fsum(exponents))
         det_got = float(np.linalg.det(got))
@@ -436,7 +439,7 @@ def test_generator_power_identity(dim):
         power = power @ x
         expected = np.zeros((dim * dim, dim * dim))
         for key, member in members(family.basis):
-            expected = expected + params.value(key.i, key.j, key.epsilon) ** k * member
+            expected = expected + params.value(*key) ** k * member
         assert max_abs_diff(power, expected) <= 1e-12
 
 

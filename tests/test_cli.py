@@ -166,6 +166,15 @@ def test_build_missing_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_out_into_a_missing_directory_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, braid_config())
+    out = tmp_path / "missing" / "matrix.json"
+    assert main(["build", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ verify
 
 
@@ -220,6 +229,12 @@ def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
     argv = ["verify", "--config", config, "--suite", "braid", "--samples", "2"]
     assert main(argv + ["--tol", tol]) == 2
     assert "tol must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_verify_negative_samples_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, braid_config())
+    assert main(["verify", "--config", config, "--samples", "-1"]) == 2
+    assert capsys.readouterr().err == "error: samples must be >= 0\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", "-42"])
@@ -452,6 +467,33 @@ def test_verify_phase_past_two_to_the_52_fails_with_the_reason(tmp_path):
         # the exponential's norm cap fires before R(theta) is built
         reason = "matrix 1-norm" if check["name"] == "exponential" else "exceeds 2**52"
         assert reason in error
+
+
+# (1, 2, +) = 3e14 overflows exp at theta 1; (1, 1, +/-) = 14.195 leaves
+# exp(m theta) finite at theta 50, but the two coefficients' sum overflows
+@pytest.mark.parametrize("parameters, theta", [
+    ([{"i": 1, "j": 2, "epsilon": "+", "value": 3e14}], "1"),
+    ([{"i": 1, "j": 1, "epsilon": e, "value": 14.195} for e in "+-"], "50"),
+])
+def test_real_overflow_is_one_error_line_not_a_warning(tmp_path, capsys, parameters, theta):
+    config = write_config(tmp_path, braid_config(4, "real", parameters))
+    assert main(["build", "--config", config, "--theta", theta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: braid coefficients overflowed\n"
+
+
+def test_verify_real_overflow_fails_the_sample_without_a_warning(tmp_path, capsys):
+    parameters = [{"i": 1, "j": 2, "epsilon": "+", "value": 3e14}]
+    config = write_config(tmp_path, braid_config(4, "real", parameters))
+    report_path = tmp_path / "report.json"
+    argv = ["verify", "--config", config, "--suite", "braid", "--samples", "1",
+            "--report", str(report_path)]
+    assert main(argv) == 1
+    assert "Warning" not in capsys.readouterr().err
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [c["passed"] for c in checks] == [False, True]
+    assert checks[0]["context"]["error"] == "braid coefficients overflowed"
 
 
 def test_entangle_rejects_real_mode(tmp_path, capsys):

@@ -93,8 +93,41 @@ def test_side_length_true_exits_two(tmp_path, capsys):
     ],
 )
 def test_other_integer_fields_are_not_truncated(obj):
-    with pytest.raises(ConfigError, match="must be an integer"):
+    with pytest.raises(ConfigError, match="must be an integer|must be integers"):
         parse_config(obj)
+
+
+ENTRY = {"i": 1, "j": 2, "epsilon": "+", "value": 0.4}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "config must be a JSON object, got list"),
+        (json.dumps(config(parameters=[ENTRY, ENTRY])), "duplicate parameter class"),
+        (json.dumps(config(parameters=ENTRY)), "'parameters' must be a list"),
+        (json.dumps(config(parameters=[3])), "parameter entry must be an object, got 3"),
+        (json.dumps(config(parameters=[{"i": 1, "j": 2, "epsilon": "+"}])),
+         "malformed parameter entry"),
+        (json.dumps(config(parameters=[dict(ENTRY, epsilon=1)])),
+         "epsilon must be '+' or '-', got 1"),
+        (json.dumps(config(parameters=[dict(ENTRY, i="1")])),
+         "parameter key ('1', 2, '+'): i and j must be integers"),
+        (json.dumps(config(parameters=[dict(ENTRY, i=[1])])),
+         "parameter key ([1], 2, '+'): i and j must be integers"),
+        (json.dumps(config(parameters=[dict(ENTRY, value=True)])),
+         "parameter value True is not a number"),
+        (json.dumps(config(parameters=[dict(ENTRY, value=None)])),
+         "unsupported parameter value None"),
+    ],
+    ids=["not-object", "duplicate", "parameters-not-list", "entry-not-object",
+         "missing-value", "epsilon-int", "i-string", "i-array", "value-true",
+         "value-null"],
+)
+def test_malformed_config_exits_two(tmp_path, capsys, text, message):
+    assert run_verify(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("missing", ["N", "mode"])

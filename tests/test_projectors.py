@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from braidmat import DimensionError, ProjectorKey, projector_family
+from braidmat import DimensionError, projector_family
 from test_oracles import (
     braid_term,
     dagger,
@@ -26,7 +26,7 @@ def kron_units(a, b, c, d, dim):
 
 
 def member(dim, kind, i, j, epsilon):
-    return dict(members(projector_family(dim, kind)))[ProjectorKey(i, j, epsilon)]
+    return dict(members(projector_family(dim, kind)))[(i, j, epsilon)]
 
 
 def test_mirror_index():
